@@ -28,7 +28,6 @@ from .exact_linalg import (
     Diagnosis,
     MinorVector,
     adjoint_submatrix,
-    calibrate_sign_matrix,
     complete,
     delta_left_inverse_from_psi,
     field_bezout_solver,

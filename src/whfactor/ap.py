@@ -1,14 +1,14 @@
 """Almost periodic layer: frequency-sign projections, mean motion, and
 exponential-diagonal factorization of almost periodic polynomial matrices.
 
-The analogue of the rational factorization routes replaces r**k by the
-exponential e_kappa (kappa the mean motion of the determinant) and the
-weighted projections by frequency-sign splits.  In the omitted-row route
-the off-diagonal scalar must split as x_minus + e_kappa * x_plus with
-nonpositive / nonnegative frequency supports, which is possible exactly
-when it has no frequency strictly inside (0, kappa); when that spectral
-gap fails the route reports the offending frequencies instead of claiming
-a factorization.  In the boundary-relation route the correction term is
+The factorization routes run the rational routes' assembly from
+matrix_wh with r**k replaced by the exponential e_kappa (kappa the mean
+motion of the determinant) and the weighted projections by frequency-sign
+splits.  In the omitted-row route the off-diagonal scalar must split as
+x_minus + e_kappa * x_plus with nonpositive / nonnegative frequency
+supports, which is possible exactly when it has no frequency strictly
+inside (0, kappa); when that spectral gap fails the route reports the
+offending frequencies instead of claiming a factorization.  In the boundary-relation route the correction term is
 shifted downward by e_{-kappa}, which keeps its support nonpositive, so
 that route never needs the gap.
 """
@@ -23,6 +23,7 @@ from fractions import Fraction
 from .errors import (
     HypothesisViolation,
     MembershipViolation,
+    NearZeroOnContour,
     NotOrthogonal,
     NotUnitary,
     RHResidualNonzero,
@@ -30,10 +31,17 @@ from .errors import (
     ZeroInput,
 )
 from .corona import CoronaCertificate, CoronaFailure, Unresolved, corona_solve_ap
-from .exact_linalg import complete
 from .fredholm import FredholmReport
 from .matrices import AP, RingMatrix
+from .matrix_wh import (
+    _assemble_rh,
+    _assemble_row,
+    _diagonal,
+    _move_last_perm,
+    _SymbolAlgebra,
+)
 from .rings import DEFAULT_TOL, APPoly, GaussianRational, abs_bounds
+from .scalar_wh import _argument_increment
 
 
 @dataclass(frozen=True)
@@ -48,14 +56,7 @@ class APFactorization:
     trace: dict = field(default_factory=dict)
 
     def d_matrix(self) -> RingMatrix:
-        n = len(self.partial_ap_indices)
-        return RingMatrix(
-            AP,
-            [
-                [APPoly.e(mu) if i == j else AP.zero for j in range(n)]
-                for i, mu in enumerate(self.partial_ap_indices)
-            ],
-        )
+        return _diagonal(AP, [APPoly.e(mu) for mu in self.partial_ap_indices])
 
     def reconstruct(self) -> RingMatrix:
         return self.g_minus * self.d_matrix() * self.g_plus
@@ -130,37 +131,10 @@ def mean_motion(p: APPoly, grid: int = 512, tol: float = DEFAULT_TOL) -> MeanMot
         z = cmath.exp(1j * theta)
         return sum(c * z ** int(m) for m, c in exponents)
 
-    class _NearZero(Exception):
-        pass
-
-    def value(t: float) -> complex:
-        z = laurent(t)
-        if abs(z) < tol:
-            raise _NearZero
-        return z
-
-    def delta(t1, z1, t2, z2, depth):
-        d = cmath.phase(z2 / z1)
-        if abs(d) < math.pi / 2:
-            return d
-        if depth > 40:
-            raise _NearZero
-        tm = 0.5 * (t1 + t2)
-        zm = value(tm)
-        return delta(t1, z1, tm, zm, depth + 1) + delta(tm, zm, t2, z2, depth + 1)
-
     thetas = [2 * math.pi * (j + 0.5) / grid for j in range(grid)]
     try:
-        values = [value(t) for t in thetas]
-        total = 0.0
-        for j in range(grid):
-            t1, z1 = thetas[j], values[j]
-            if j + 1 < grid:
-                t2, z2 = thetas[j + 1], values[j + 1]
-            else:
-                t2, z2 = thetas[0] + 2 * math.pi, values[0]
-            total += delta(t1, z1, t2, z2, 0)
-    except _NearZero:
+        total = _argument_increment(laurent, thetas, tol, 40)
+    except NearZeroOnContour:
         return MeanMotionResult(
             None,
             "numeric-estimate",
@@ -198,10 +172,6 @@ def _require_ap_square(G: RingMatrix) -> int:
 
 
 def _constant_appoly(p) -> GaussianRational:
-    if isinstance(p, GaussianRational):
-        return p
-    if isinstance(p, (int, Fraction)):
-        return GaussianRational.coerce(p)
     p = APPoly.coerce(p)
     if p.is_zero:
         raise HypothesisViolation("determinant factor must be a nonzero constant")
@@ -249,31 +219,18 @@ def gap_split(q: APPoly, kappa: Fraction):
     return x_minus, x_plus, ()
 
 
-def _ap_block_lower(n: int, bottom_row, corner) -> RingMatrix:
-    rows = []
-    for i in range(n - 1):
-        rows.append([AP.one if j == i else AP.zero for j in range(n)])
-    rows.append(list(bottom_row) + [corner])
-    return RingMatrix(AP, rows)
+def _ap_split_rh(u: APPoly, tol):
+    return ap_project(u, "+"), ap_project(u, "-")
 
 
-def _ap_block_upper(n: int, right_col, corner) -> RingMatrix:
-    rows = []
-    for i in range(n - 1):
-        rows.append(
-            [AP.one if j == i else AP.zero for j in range(n - 1)] + [right_col[i]]
-        )
-    rows.append([AP.zero] * (n - 1) + [corner])
-    return RingMatrix(AP, rows)
-
-
-def _move_last_perm(n: int, idx: int):
-    perm = [i for i in range(n) if i != idx] + [idx]
-    inverse = [0] * n
-    for pos, p in enumerate(perm):
-        inverse[p] = pos
-    sign = -1 if (n - 1 - idx) % 2 == 1 else 1
-    return perm, inverse, sign
+_AP_SYMBOLS = _SymbolAlgebra(
+    AP,
+    lambda q, kappa, tol: gap_split(q, kappa),
+    _ap_split_rh,
+    APPoly.e,
+    APFactorization,
+    SplitUnavailable,
+)
 
 
 def ap_factor_via_row(
@@ -288,60 +245,27 @@ def ap_factor_via_row(
     perm, inv_perm, sign = _move_last_perm(n, omitted_row)
     Gp = G.permute_rows(perm)
     psi = Gp.submatrix(range(n - 1), range(n))
-    ghat = Gp.row(n - 1)
     _check_ap_matrix(psi, "+", "row complement")
     _check_ap_matrix(phi_plus, "+", "right inverse")
     if not (psi * phi_plus).is_identity():
         raise HypothesisViolation("supplied matrix is not a right inverse of the complement")
-    det = Gp.det()
     if det_factorization is not None:
         gm_c, kappa, gp_c = _resolve_det_factorization(G.det(), det_factorization)
         gm_c = gm_c * sign
     else:
-        gm_c, kappa, gp_c = _resolve_det_factorization(det, None)
+        gm_c, kappa, gp_c = _resolve_det_factorization(Gp.det(), None)
 
-    comp = complete(phi_plus, psi)
-    gm_inv = gm_c.inv()
-    q_row = [(ghat * phi_plus)[0, j] * gm_inv for j in range(n - 1)]
-    minus_row = []
-    plus_row = []
-    offending: set[Fraction] = set()
-    for q in q_row:
-        x_minus, x_plus, bad = gap_split(q, kappa)
-        if bad:
-            offending.update(bad)
-            continue
-        minus_row.append(x_minus)
-        plus_row.append(x_plus)
-    if offending:
-        return SplitUnavailable(tuple(sorted(offending)), kappa)
-
-    corner_sign = AP.one if (n - 1) % 2 == 0 else -AP.one
-    g_minus_p = _ap_block_lower(n, [APPoly.coerce(gm_c) * m for m in minus_row], APPoly.coerce(gm_c))
-    g_plus_p = (
-        _ap_block_lower(n, plus_row, AP.one)
-        * _ap_block_lower(n, [AP.zero] * (n - 1), corner_sign * APPoly.coerce(gp_c))
-        * comp.psi_e
+    return _assemble_row(
+        _AP_SYMBOLS, G, Gp, inv_perm, phi_plus,
+        APPoly.coerce(gm_c), APPoly.coerce(gp_c), kappa, None,
+        lambda q_row, minus_row, plus_row: {
+            "route": "ap-row",
+            "omitted_row": omitted_row,
+            "split_minus": minus_row,
+            "split_plus": plus_row,
+            "kappa": kappa,
+        },
     )
-    indices = tuple([Fraction(0)] * (n - 1) + [kappa])
-    d = RingMatrix(
-        AP,
-        [
-            [APPoly.e(mu) if i == j else AP.zero for j in range(n)]
-            for i, mu in enumerate(indices)
-        ],
-    )
-    if not g_minus_p * d * g_plus_p == Gp:
-        raise AssertionError("row-route assembly failed to reconstruct the symbol")
-    g_minus = g_minus_p.permute_rows(inv_perm)
-    trace = {
-        "route": "ap-row",
-        "omitted_row": omitted_row,
-        "split_minus": minus_row,
-        "split_plus": plus_row,
-        "kappa": kappa,
-    }
-    return APFactorization(g_minus, indices, g_plus_p, trace)
 
 
 def ap_factor_via_rh(
@@ -359,7 +283,7 @@ def ap_factor_via_rh(
     nonpositive-frequency, so the construction succeeds whenever the
     hypotheses hold: no spectral-gap refusal arises on this route.
     """
-    n = _require_ap_square(G)
+    _require_ap_square(G)
     _check_ap_matrix(phi_plus, "+", "phi_plus")
     _check_ap_matrix(psi_plus, "+", "psi_plus")
     _check_ap_matrix(phi_minus, "-", "phi_minus")
@@ -375,49 +299,15 @@ def ap_factor_via_rh(
     if kappa < 0:
         raise HypothesisViolation("boundary-relation route requires kappa >= 0")
 
-    comp_plus = complete(phi_plus, psi_plus)
-    comp_minus = complete(phi_minus, psi_minus)
-    g0 = comp_minus.psi_e * G * comp_plus.phi_e
-    for i in range(n - 1):
-        for j in range(n - 1):
-            want = AP.one if i == j else AP.zero
-            if not g0[i, j] == want:
-                raise AssertionError("conjugated symbol is not unit upper triangular")
-    for j in range(n - 1):
-        if g0[n - 1, j]:
-            raise AssertionError("conjugated symbol has a nonzero bottom block")
-    if not g0[n - 1, n - 1] == det:
-        raise AssertionError("conjugated corner does not equal det G")
-
-    gp_inv = gp_c.inv()
-    shift = APPoly.e(-kappa)
-    alpha_minus = []
-    alpha_plus = []
-    for i in range(n - 1):
-        u = g0[i, n - 1] * gp_inv
-        alpha_plus.append(ap_project(u, "+"))
-        alpha_minus.append(shift * ap_project(u, "-"))
-    g_minus = comp_minus.phi_e * _ap_block_upper(n, alpha_minus, APPoly.coerce(gm_c))
-    g_plus = (
-        _ap_block_upper(n, [APPoly.coerce(gp_c) * a for a in alpha_plus], APPoly.coerce(gp_c))
-        * comp_plus.psi_e
+    return _assemble_rh(
+        _AP_SYMBOLS, G, det, phi_plus, phi_minus, psi_plus, psi_minus,
+        APPoly.coerce(gm_c), APPoly.coerce(gp_c), kappa, None,
+        lambda q_col: {
+            "route": "ap-rh",
+            "kappa": kappa,
+            "split_note": "minus correction shifted by e_{-kappa}; no gap condition arises",
+        },
     )
-    indices = tuple([Fraction(0)] * (n - 1) + [kappa])
-    d = RingMatrix(
-        AP,
-        [
-            [APPoly.e(mu) if i == j else AP.zero for j in range(n)]
-            for i, mu in enumerate(indices)
-        ],
-    )
-    if not g_minus * d * g_plus == G:
-        raise AssertionError("boundary-relation assembly failed to reconstruct the symbol")
-    trace = {
-        "route": "ap-rh",
-        "kappa": kappa,
-        "split_note": "minus correction shifted by e_{-kappa}; no gap condition arises",
-    }
-    return APFactorization(g_minus, indices, g_plus, trace)
 
 
 def _ap_conjugate_transpose(G: RingMatrix) -> RingMatrix:
@@ -444,11 +334,7 @@ def ap_special(G: RingMatrix, mode: str, tol: float = DEFAULT_TOL) -> FredholmRe
     det = G.det()
     if not (det.is_monomial and det.terms[0][0] == 0):
         raise HypothesisViolation("determinant is not constant")
-    psi = G.submatrix(range(n - 1), range(n))
-    try:
-        _check_ap_matrix(psi, "+", "row complement")
-    except HypothesisViolation as exc:
-        raise HypothesisViolation(str(exc)) from None
+    _check_ap_matrix(G.submatrix(range(n - 1), range(n)), "+", "row complement")
     last_row = [G[n - 1, j] for j in range(n)]
     try:
         verdict = corona_solve_ap(last_row, half, tol)

@@ -178,9 +178,11 @@ def run_wh_scalar(job, args, tol):
 
 
 def run_winding(job, args, tol):
+    grid = int(_opt(job, args, "grid", 256))
+    if grid < 8:
+        raise DecodeError(f"grid must be at least 8, got {grid}")
     symbol = jsonio.decode_symbol(job["symbol"])
     factored = symbol if not isinstance(symbol, RationalFunction) else symbol.factored(tol)
-    grid = int(_opt(job, args, "grid", 256))
     return {
         "exact": winding_exact(factored, tol),
         "numeric": winding_numeric(factored, grid, tol),

@@ -13,8 +13,7 @@ positions inside I drive the cofactor signs), which gives
     adjoint_submatrix(phi, I) * phi == det(phi_I) * Identity
 
 with the identity matrix on the right - i.e. the calibrated diagonal sign
-matrix is the identity for every size.  ``calibrate_sign_matrix`` re-derives
-this from the defining contract on random exact instances.
+matrix is the identity for every size.
 """
 
 from __future__ import annotations
@@ -115,60 +114,9 @@ def adjoint_submatrix(phi: RingMatrix, subset) -> RingMatrix:
     for pos in range(m):
         reduced = sub.delete_row(pos)
         for q in range(m):
-            minor = reduced.delete_col(q).det() if m > 1 else ring.one
+            minor = reduced.delete_col(q).det()
             out[q][subset[pos]] = minor if (pos + q) % 2 == 0 else -minor
     return RingMatrix(ring, out)
-
-
-def calibrate_sign_matrix(m: int, trials: int = 4, seed: int = 7) -> list[int]:
-    """Recover the diagonal sign matrix S_m from the contract
-    adjoint_submatrix(phi, I) * phi == det(phi_I) * S_m on random exact
-    instances over Q(i).  Returns the diagonal as a list of +-1."""
-    import random
-
-    from .matrices import QI
-    from .rings import GaussianRational
-
-    rng = random.Random(seed + m)
-    diag = None
-    done = 0
-    while done < trials:
-        n = m + rng.choice([0, 1, 2])
-        phi = RingMatrix(
-            QI,
-            [
-                [GaussianRational(rng.randint(-4, 4), rng.randint(-2, 2)) for _ in range(m)]
-                for _ in range(n)
-            ],
-        )
-        subset = tuple(sorted(rng.sample(range(n), m)))
-        d = phi.submatrix(subset, range(m)).det()
-        if not d:
-            continue
-        prod = adjoint_submatrix(phi, subset) * phi
-        inv_d = d.inv()
-        signs = []
-        ok = True
-        for q in range(m):
-            for p in range(m):
-                ratio = prod[q, p] * inv_d
-                if p == q:
-                    if ratio == QI.one:
-                        signs.append(1)
-                    elif ratio == -QI.one:
-                        signs.append(-1)
-                    else:
-                        ok = False
-                elif ratio:
-                    ok = False
-        if not ok:
-            raise AssertionError("product is not det times a diagonal sign matrix")
-        if diag is None:
-            diag = signs
-        elif diag != signs:
-            raise AssertionError("sign matrix is not constant across instances")
-        done += 1
-    return diag
 
 
 def delta_left_inverse_from_psi(psi: RingMatrix, phi: RingMatrix) -> list:
@@ -283,8 +231,9 @@ def one_sided_diagnose(phi: RingMatrix, side: str, solver) -> Diagnosis:
     """Reduce one-sided invertibility to a scalar Bezout problem on the
     maximal minors, delegated to the supplied solver.
 
-    solver(values, ring) may return a coefficient list, a corona-style
-    certificate/failure object, or None/'unresolved' markers.
+    solver(values, ring) may return a coefficient list, None (unresolved),
+    or a corona verdict, dispatched on its status: 'certificate',
+    'failure' or 'unresolved'.
     """
     if side == "right":
         inner = one_sided_diagnose(phi.transpose(), "left", solver)
@@ -319,14 +268,14 @@ def one_sided_diagnose(phi: RingMatrix, side: str, solver) -> Diagnosis:
     if verdict is None:
         return Diagnosis(status="unresolved", minors=mv)
     status = getattr(verdict, "status", None)
-    if status == "failure" or type(verdict).__name__ == "CoronaFailure":
+    if status == "failure":
         return Diagnosis(
             status="not_invertible",
             minors=mv,
             witness=getattr(verdict, "witness", None),
             notes=[getattr(verdict, "reason", "")],
         )
-    if type(verdict).__name__ == "Unresolved":
+    if status == "unresolved":
         return Diagnosis(
             status="unresolved",
             minors=mv,

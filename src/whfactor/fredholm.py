@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .corona import CoronaCertificate, corona_solve_hplus, corona_solve_mplus
 from .errors import (
     CertificateInvalid,
     HypothesisViolation,
@@ -249,8 +250,6 @@ def special_unitary(
 ) -> FredholmReport:
     """Fredholm verdict for a symbol unitary on the line with constant
     determinant, driven by a corona check on its last row."""
-    from .corona import CoronaCertificate, corona_solve_hplus, corona_solve_mplus
-
     n = _check_rat_square(G)
     if not (G * _conjugate_transpose(G)).is_identity():
         raise NotUnitary("G * G^* is not the identity on the line")
@@ -281,7 +280,6 @@ def special_unitary(
         inner = corona_solve_hplus(last_row, "-", tol)
         if isinstance(inner, CoronaCertificate):
             report.justification = "unitary-constant-det/strict"
-            report.fredholm = "yes"
             report.dim_ker = 0
             report.dim_coker = 0
             report.index = 0
@@ -303,8 +301,6 @@ def special_unitary(
 def special_orthogonal(G: RingMatrix, tol: float = DEFAULT_TOL) -> FredholmReport:
     """Fredholm verdict for a complex-orthogonal symbol (G G^T = I) with
     constant determinant, via a corona check on its last row."""
-    from .corona import CoronaCertificate, corona_solve_hplus, corona_solve_mplus
-
     n = _check_rat_square(G)
     if not (G * G.transpose()).is_identity():
         raise NotOrthogonal("G * G^T is not the identity")

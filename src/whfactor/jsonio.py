@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .ap import APFactorization, MeanMotionResult, SplitUnavailable
 from .corona import CoronaCertificate, CoronaFailure, Unresolved
 from .exact_linalg import Completion, Diagnosis, MinorVector
 from .fredholm import FredholmReport
@@ -143,10 +144,6 @@ def encode(obj):
         return [encode(x) for x in obj]
     if isinstance(obj, dict):
         return encode_mapping(obj)
-    # almost periodic factorizations and split refusals, defined late to
-    # avoid an import cycle
-    from .ap import APFactorization, MeanMotionResult, SplitUnavailable
-
     if isinstance(obj, APFactorization):
         return {
             "ring": "ap",

@@ -14,11 +14,16 @@ The off-corner entry is always projected after scaling by the inverse of
 the plus determinant factor (gamma_plus**-1); with the unscaled entry the
 assembled product reconstructs the symbol only when gamma_plus == 1.  The
 correction is recorded in every construction trace.
+
+The row and boundary-relation assemblies are ring-generic: the almost
+periodic routes in ``ap`` run them with frequency splits and the diagonal
+element e_kappa in place of the weighted projections and r**k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .errors import (
     HypothesisViolation,
@@ -28,9 +33,15 @@ from .errors import (
     ShapeMismatch,
 )
 from .exact_linalg import complete
-from .matrices import RAT, RingMatrix
+from .matrices import RAT, Ring, RingMatrix
 from .rings import DEFAULT_TOL, RationalFunction
 from .scalar_wh import P_NOTE, ScalarWH, pole_split, r_function, riesz_project
+
+_R = r_function()
+
+
+def _r_power(k: int) -> RationalFunction:
+    return _R**k
 
 
 @dataclass(frozen=True)
@@ -46,15 +57,7 @@ class WHFactorization:
     trace: dict = field(default_factory=dict)
 
     def d_matrix(self) -> RingMatrix:
-        r = r_function()
-        n = len(self.partial_indices)
-        return RingMatrix(
-            RAT,
-            [
-                [r**k if i == j else RAT.zero for j in range(n)]
-                for i, k in enumerate(self.partial_indices)
-            ],
-        )
+        return _diagonal(RAT, [_r_power(k) for k in self.partial_indices])
 
     def reconstruct(self) -> RingMatrix:
         return self.g_minus * self.d_matrix() * self.g_plus
@@ -76,6 +79,38 @@ class VerificationReport:
                 for name, ok, detail in self.checks
             ],
         }
+
+
+@dataclass(frozen=True)
+class _SymbolAlgebra:
+    """What the shared assembly needs to know about one class of symbols.
+
+    split_row(q, k, tol) -> (x_minus, x_plus, offending) with
+    q == x_minus + unit(k) * x_plus, or offending frequencies when q does not
+    split; split_rh(u, tol) -> (plus, minus) with u == plus + minus;
+    unit(k) is the diagonal element of index k.  The row route returns
+    refusal(offending, k) when a split reports offending frequencies.
+    """
+
+    ring: Ring
+    split_row: Callable
+    split_rh: Callable
+    unit: Callable
+    factorization: Callable
+    refusal: Callable | None = None
+
+
+def _rational_split_row(q, k, tol):
+    proj = riesz_project(q, tol)
+    return proj.minus_part, _r_power(-k) * proj.plus_part, ()
+
+
+def _rational_split_rh(u, tol):
+    proj = riesz_project(u, tol)
+    return proj.plus_part, proj.minus_part
+
+
+_RATIONAL = _SymbolAlgebra(RAT, _rational_split_row, _rational_split_rh, _r_power, WHFactorization)
 
 
 def _require_rat_square(G: RingMatrix) -> int:
@@ -127,24 +162,123 @@ def _scale_gamma_minus(scalar: ScalarWH, sign: int) -> ScalarWH:
     return ScalarWH(gm, scalar.k, scalar.gamma_plus)
 
 
-def _block_lower(n: int, bottom_row, corner) -> RingMatrix:
-    """[[I, 0], [bottom_row, corner]] over the rational ring."""
-    rows = []
-    for i in range(n - 1):
-        rows.append([RAT.one if j == i else RAT.zero for j in range(n)])
+def _block_lower(ring: Ring, n: int, bottom_row, corner) -> RingMatrix:
+    """[[I, 0], [bottom_row, corner]]."""
+    rows = [[ring.one if j == i else ring.zero for j in range(n)] for i in range(n - 1)]
     rows.append(list(bottom_row) + [corner])
-    return RingMatrix(RAT, rows)
+    return RingMatrix(ring, rows)
 
 
-def _block_upper(n: int, right_col, corner) -> RingMatrix:
-    """[[I, right_col], [0, corner]] over the rational ring."""
-    rows = []
+def _block_upper(ring: Ring, n: int, right_col, corner) -> RingMatrix:
+    """[[I, right_col], [0, corner]]."""
+    rows = [
+        [ring.one if j == i else ring.zero for j in range(n - 1)] + [right_col[i]]
+        for i in range(n - 1)
+    ]
+    rows.append([ring.zero] * (n - 1) + [corner])
+    return RingMatrix(ring, rows)
+
+
+def _diagonal(ring: Ring, elements) -> RingMatrix:
+    n = len(elements)
+    return RingMatrix(
+        ring, [[e if i == j else ring.zero for j in range(n)] for i, e in enumerate(elements)]
+    )
+
+
+def _corner_sign(ring: Ring, n: int):
+    """(-1)**(n-1), the determinant of every completion."""
+    return ring.one if (n - 1) % 2 == 0 else -ring.one
+
+
+def _divided(ring: Ring, values, g) -> list:
+    g_inv = ring.invert(g)
+    return [v * g_inv for v in values]
+
+
+def _split_column(alg: _SymbolAlgebra, col, k, tol) -> tuple[list, list]:
+    """Split every entry; the minus halves are shifted by unit(-k)."""
+    shift = alg.unit(-k)
+    plus, minus = [], []
+    for u in col:
+        p, m = alg.split_rh(u, tol)
+        plus.append(p)
+        minus.append(shift * m)
+    return plus, minus
+
+
+def _checked(alg: _SymbolAlgebra, G, g_minus, k, g_plus, route: str, trace: dict):
+    """The factorization with indices (0, ..., 0, k), after the exact check
+    that it reconstructs G."""
+    # k * 0 is the zero of k's type: 0 for r**k, Fraction(0) for e_kappa
+    indices = tuple([k * 0] * (G.rows - 1) + [k])
+    F = alg.factorization(g_minus, indices, g_plus, trace=trace)
+    if not F.reconstruct() == G:
+        raise AssertionError(f"{route} assembly failed to reconstruct the symbol")
+    return F
+
+
+def _assemble_row(alg: _SymbolAlgebra, G, Gp, inv_perm, phi_plus, gm, gp, k, tol, trace):
+    """Omitted-row assembly over Gp = G with the omitted row moved last,
+    whose other rows psi satisfy psi * phi_plus == I and whose determinant
+    is gm * unit(k) * gp.  trace(q_row, minus_row, plus_row) builds the
+    route's trace from the split inputs and halves."""
+    ring = alg.ring
+    n = Gp.rows
+    comp = complete(phi_plus, Gp.submatrix(range(n - 1), range(n)))
+    ghat_phi = Gp.row(n - 1) * phi_plus
+    q_row = _divided(ring, [ghat_phi[0, j] for j in range(n - 1)], gm)
+    minus_row = []
+    plus_row = []
+    offending = set()
+    for q in q_row:
+        x_minus, x_plus, bad = alg.split_row(q, k, tol)
+        if bad:
+            offending.update(bad)
+            continue
+        minus_row.append(x_minus)
+        plus_row.append(x_plus)
+    if offending:
+        return alg.refusal(tuple(sorted(offending)), k)
+
+    g_minus = _block_lower(ring, n, [gm * m for m in minus_row], gm)
+    g_plus = (
+        _block_lower(ring, n, plus_row, ring.one)
+        * _block_lower(ring, n, [ring.zero] * (n - 1), _corner_sign(ring, n) * gp)
+        * comp.psi_e
+    )
+    return _checked(
+        alg, G, g_minus.permute_rows(inv_perm), k, g_plus, "row-route",
+        trace(q_row, minus_row, plus_row),
+    )
+
+
+def _assemble_rh(alg: _SymbolAlgebra, G, det, phi_plus, phi_minus, psi_plus, psi_minus,
+                 gm, gp, k, tol, trace):
+    """Boundary-relation assembly: the completions conjugate G to
+    [[I, Q], [0, det]], and gp**-1 * Q is split.  trace(q_col) builds the
+    route's trace from the corner column Q."""
+    ring = alg.ring
+    n = G.rows
+    comp_plus = complete(phi_plus, psi_plus)
+    comp_minus = complete(phi_minus, psi_minus)
+    g0 = comp_minus.psi_e * G * comp_plus.phi_e
     for i in range(n - 1):
-        rows.append(
-            [RAT.one if j == i else RAT.zero for j in range(n - 1)] + [right_col[i]]
-        )
-    rows.append([RAT.zero] * (n - 1) + [corner])
-    return RingMatrix(RAT, rows)
+        for j in range(n - 1):
+            want = ring.one if i == j else ring.zero
+            if not g0[i, j] == want:
+                raise AssertionError("conjugated symbol is not unit upper triangular")
+    for j in range(n - 1):
+        if g0[n - 1, j]:
+            raise AssertionError("conjugated symbol has a nonzero bottom block")
+    if not g0[n - 1, n - 1] == det:
+        raise AssertionError("conjugated corner does not equal det G")
+
+    q_col = [g0[i, n - 1] for i in range(n - 1)]
+    alpha_plus, alpha_minus = _split_column(alg, _divided(ring, q_col, gp), k, tol)
+    g_minus = comp_minus.phi_e * _block_upper(ring, n, alpha_minus, gm)
+    g_plus = _block_upper(ring, n, [gp * a for a in alpha_plus], gp) * comp_plus.psi_e
+    return _checked(alg, G, g_minus, k, g_plus, "boundary-relation", trace(q_col))
 
 
 def factor_via_row(
@@ -166,47 +300,22 @@ def factor_via_row(
     _check_scalar_matches(scalar, Gp.det())
 
     psi = Gp.submatrix(range(n - 1), range(n))
-    ghat = Gp.row(n - 1)
     _check_half_matrix(psi, "+", tol, "submatrix")
     _check_half_matrix(phi_plus, "+", tol, "right inverse")
     if not (psi * phi_plus).is_identity():
         raise HypothesisViolation("supplied matrix is not a right inverse of the submatrix")
 
-    comp = complete(phi_plus, psi)
-    gm = scalar.gamma_minus.expand()
-    gp = scalar.gamma_plus.expand()
-    k = scalar.k
-    r = r_function()
-    q_row = [(ghat * phi_plus)[0, j] / gm for j in range(n - 1)]
-    plus_row = []
-    minus_row = []
-    for q in q_row:
-        proj = riesz_project(q, tol)
-        plus_row.append(proj.plus_part)
-        minus_row.append(proj.minus_part)
-
-    g_minus_p = _block_lower(n, [gm * m for m in minus_row], gm)
-    corner_sign = RAT.one if (n - 1) % 2 == 0 else -RAT.one
-    g_plus_p = _block_lower(
-        n, [(r ** (-k)) * p for p in plus_row], RAT.one
-    ) * _block_lower(n, [RAT.zero] * (n - 1), corner_sign * gp) * comp.psi_e
-
-    indices = tuple([0] * (n - 1) + [k])
-    d = RingMatrix(
-        RAT,
-        [[r**ki if i == j else RAT.zero for j in range(n)] for i, ki in enumerate(indices)],
+    return _assemble_row(
+        _RATIONAL, G, Gp, inv_perm, phi_plus,
+        scalar.gamma_minus.expand(), scalar.gamma_plus.expand(), scalar.k, tol,
+        lambda q_row, minus_row, plus_row: {
+            "route": "row",
+            "omitted_row": omitted_row,
+            "permutation_sign": sign,
+            "projection_input": q_row,
+            "scalar": scalar,
+        },
     )
-    if not g_minus_p * d * g_plus_p == Gp:
-        raise AssertionError("row-route assembly failed to reconstruct the symbol")
-    g_minus = g_minus_p.permute_rows(inv_perm)
-    trace = {
-        "route": "row",
-        "omitted_row": omitted_row,
-        "permutation_sign": sign,
-        "projection_input": q_row,
-        "scalar": scalar,
-    }
-    return WHFactorization(g_minus, indices, g_plus_p, trace=trace)
 
 
 def factor_via_column(
@@ -228,7 +337,6 @@ def factor_via_column(
     _check_scalar_matches(scalar, Gp.det())
 
     phi = Gp.submatrix(range(n), range(n - 1))
-    ghat = Gp.col(n - 1)
     _check_half_matrix(phi, "-", tol, "submatrix")
     _check_half_matrix(psi_minus, "-", tol, "left inverse")
     if not (psi_minus * phi).is_identity():
@@ -237,29 +345,11 @@ def factor_via_column(
     comp = complete(phi, psi_minus)
     gm = scalar.gamma_minus.expand()
     gp = scalar.gamma_plus.expand()
-    k = scalar.k
-    r = r_function()
-    u_col = [(psi_minus * ghat)[i, 0] / gp for i in range(n - 1)]
-    plus_col = []
-    minus_col = []
-    for u in u_col:
-        proj = riesz_project(u, tol)
-        plus_col.append(proj.plus_part)
-        minus_col.append(proj.minus_part)
-
-    corner_sign = RAT.one if (n - 1) % 2 == 0 else -RAT.one
-    g_minus = comp.phi_e * _block_upper(
-        n, [(r ** (-k)) * m for m in minus_col], corner_sign * gm
-    )
-    g_plus_p = _block_upper(n, [gp * p for p in plus_col], gp)
-    indices = tuple([0] * (n - 1) + [k])
-    d = RingMatrix(
-        RAT,
-        [[r**ki if i == j else RAT.zero for j in range(n)] for i, ki in enumerate(indices)],
-    )
-    if not g_minus * d * g_plus_p == Gp:
-        raise AssertionError("column-route assembly failed to reconstruct the symbol")
-    g_plus = g_plus_p.permute_cols(inv_perm)
+    psi_ghat = psi_minus * Gp.col(n - 1)
+    u_col = _divided(RAT, [psi_ghat[i, 0] for i in range(n - 1)], gp)
+    plus_col, minus_col = _split_column(_RATIONAL, u_col, scalar.k, tol)
+    g_minus = comp.phi_e * _block_upper(RAT, n, minus_col, _corner_sign(RAT, n) * gm)
+    g_plus = _block_upper(RAT, n, [gp * p for p in plus_col], gp)
     trace = {
         "route": "column",
         "omitted_col": omitted_col,
@@ -267,7 +357,9 @@ def factor_via_column(
         "projection_input": u_col,
         "scalar": scalar,
     }
-    return WHFactorization(g_minus, indices, g_plus, trace=trace)
+    return _checked(
+        _RATIONAL, G, g_minus, scalar.k, g_plus.permute_cols(inv_perm), "column-route", trace
+    )
 
 
 def factor_via_rh(
@@ -282,11 +374,12 @@ def factor_via_rh(
     """Factor G from a corank-one pair of analytic solutions of the boundary
     relation G*phi_plus = phi_minus, with left inverses on both sides and
     total index k >= 0."""
-    n = _require_rat_square(G)
+    _require_rat_square(G)
     _check_bounded_matrix(G)
     if scalar.k < 0:
         raise HypothesisViolation("boundary-relation route requires k >= 0")
-    _check_scalar_matches(scalar, G.det())
+    det_g = G.det()
+    _check_scalar_matches(scalar, det_g)
     _check_half_matrix(phi_plus, "+", tol, "phi_plus")
     _check_half_matrix(psi_plus, "+", tol, "psi_plus")
     _check_half_matrix(phi_minus, "-", tol, "phi_minus")
@@ -298,52 +391,18 @@ def factor_via_rh(
     if not (psi_minus * phi_minus).is_identity():
         raise HypothesisViolation("psi_minus is not a left inverse of phi_minus")
 
-    comp_plus = complete(phi_plus, psi_plus)
-    comp_minus = complete(phi_minus, psi_minus)
-    g0 = comp_minus.psi_e * G * comp_plus.phi_e
-    det_g = G.det()
-    for i in range(n - 1):
-        for j in range(n - 1):
-            want = RAT.one if i == j else RAT.zero
-            if not g0[i, j] == want:
-                raise AssertionError("conjugated symbol is not unit upper triangular")
-    for j in range(n - 1):
-        if g0[n - 1, j]:
-            raise AssertionError("conjugated symbol has a nonzero bottom block")
-    if not g0[n - 1, n - 1] == det_g:
-        raise AssertionError("conjugated corner does not equal det G")
-
-    gm = scalar.gamma_minus.expand()
-    gp = scalar.gamma_plus.expand()
-    k = scalar.k
-    r = r_function()
-    q_col = [g0[i, n - 1] for i in range(n - 1)]
-    scaled = [q / gp for q in q_col]
-    alpha_plus = []
-    alpha_minus = []
-    for u in scaled:
-        proj = riesz_project(u, tol)
-        alpha_plus.append(proj.plus_part)
-        alpha_minus.append((r ** (-k)) * proj.minus_part)
-
-    g_minus = comp_minus.phi_e * _block_upper(n, alpha_minus, gm)
-    g_plus = _block_upper(n, [gp * a for a in alpha_plus], gp) * comp_plus.psi_e
-    indices = tuple([0] * (n - 1) + [k])
-    d = RingMatrix(
-        RAT,
-        [[r**ki if i == j else RAT.zero for j in range(n)] for i, ki in enumerate(indices)],
+    return _assemble_rh(
+        _RATIONAL, G, det_g, phi_plus, phi_minus, psi_plus, psi_minus,
+        scalar.gamma_minus.expand(), scalar.gamma_plus.expand(), scalar.k, tol,
+        lambda q_col: {
+            "route": "rh",
+            "corner_column": q_col,
+            "triangular_corner": det_g,
+            "alpha_correction": "projections applied to gamma_plus**-1 * Q "
+            "(unscaled Q reconstructs only for gamma_plus == 1)",
+            "scalar": scalar,
+        },
     )
-    if not g_minus * d * g_plus == G:
-        raise AssertionError("boundary-relation assembly failed to reconstruct the symbol")
-    trace = {
-        "route": "rh",
-        "corner_column": q_col,
-        "triangular_corner": det_g,
-        "alpha_correction": "projections applied to gamma_plus**-1 * Q "
-        "(unscaled Q reconstructs only for gamma_plus == 1)",
-        "scalar": scalar,
-    }
-    return WHFactorization(g_minus, indices, g_plus, trace=trace)
 
 
 def _entry_report(M: RingMatrix, half: str, tol: float, label: str):

@@ -139,12 +139,11 @@ def _contour_evaluator(f):
     return at_angle
 
 
-def winding_numeric(f, grid: int = 256, tol: float = DEFAULT_TOL) -> int:
-    """Numeric winding along the one-point compactified line, parametrized by
-    x = tan(theta/2); argument increments are refined below pi/2 per step."""
-    if grid < 8:
-        raise ValueError("grid too coarse")
-    fn = _contour_evaluator(f)
+def _argument_increment(fn, thetas, tol: float, max_depth: int) -> float:
+    """Total change of arg fn(theta) once around a closed contour sampled at
+    the increasing angles thetas (the last step wraps to thetas[0] + 2*pi).
+    Steps of pi/2 or more are bisected, at most max_depth times; a value
+    below tol or a step that cannot be refined raises NearZeroOnContour."""
 
     def value(theta: float) -> complex:
         z = fn(theta)
@@ -156,13 +155,13 @@ def winding_numeric(f, grid: int = 256, tol: float = DEFAULT_TOL) -> int:
         d = cmath.phase(z2 / z1)
         if abs(d) < math.pi / 2:
             return d
-        if depth > 48:
+        if depth > max_depth:
             raise NearZeroOnContour("argument step cannot be refined below pi/2")
         tm = 0.5 * (t1 + t2)
         zm = value(tm)
         return delta(t1, z1, tm, zm, depth + 1) + delta(tm, zm, t2, z2, depth + 1)
 
-    thetas = [-math.pi + (2 * j + 1) * math.pi / grid for j in range(grid)]
+    grid = len(thetas)
     points = [value(t) for t in thetas]
     total = 0.0
     for j in range(grid):
@@ -172,7 +171,17 @@ def winding_numeric(f, grid: int = 256, tol: float = DEFAULT_TOL) -> int:
         else:
             t2, z2 = thetas[0] + 2 * math.pi, points[0]
         total += delta(t1, z1, t2, z2, 0)
-    wind = total / (2 * math.pi)
+    return total
+
+
+def winding_numeric(f, grid: int = 256, tol: float = DEFAULT_TOL) -> int:
+    """Numeric winding along the one-point compactified line, parametrized by
+    x = tan(theta/2); argument increments are refined below pi/2 per step."""
+    if grid < 8:
+        raise ValueError("grid too coarse")
+    fn = _contour_evaluator(f)
+    thetas = [-math.pi + (2 * j + 1) * math.pi / grid for j in range(grid)]
+    wind = _argument_increment(fn, thetas, tol, 48) / (2 * math.pi)
     nearest = round(wind)
     if abs(wind - nearest) > 0.25:
         raise NearZeroOnContour(f"accumulated winding {wind} is not near an integer")

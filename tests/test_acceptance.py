@@ -21,7 +21,6 @@ from whfactor.corona import (
 )
 from whfactor.exact_linalg import (
     adjoint_submatrix,
-    calibrate_sign_matrix,
     complete,
     delta_left_inverse_from_psi,
     maximal_minors,
@@ -100,7 +99,7 @@ def test_criterion_2_sign_calibration():
     """Calibrated sign matrices are the identity for m <= 5, diverging from
     the printed alternating-sign diagonal; shown symbolically at 2x2."""
     for m in range(1, 6):
-        assert calibrate_sign_matrix(m) == [1] * m
+        assert util.calibrate_sign_matrix(m) == [1] * m
     # symbolic 2x2: the cofactor block times the matrix is det * Identity,
     # not det * diag(-1, +1)
     import sympy

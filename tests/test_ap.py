@@ -179,6 +179,14 @@ def test_ap_factor_via_row_supplied_det_factorization():
     assert sum(out.partial_ap_indices, Fraction(0)) == Fraction(1)
 
 
+def test_ap_factor_via_row_rejects_a_zero_det_factor():
+    # a singular symbol matches gamma_minus = 0; that is not a factorization
+    G = util.ap_matrix([[E(0), 0], [0, 0]])
+    phi_plus = util.ap_matrix([[E(0)], [0]])
+    with pytest.raises(HypothesisViolation, match="nonzero constant"):
+        ap_factor_via_row(G, 1, phi_plus, det_factorization=(0, Fraction(0), 1))
+
+
 def test_index_sum_matches_mean_motion():
     rng = random.Random(127)
     for _ in range(10):

@@ -8,8 +8,11 @@ import sys
 
 import pytest
 
+from whfactor import cli
+
 REPO = pathlib.Path(__file__).resolve().parents[1]
 DATA = REPO / "demos" / "data"
+GOLDEN = REPO / "bench" / "golden" / "cli_corpus.json"
 
 CORPUS = [
     ("minors", "minors.json", 0),
@@ -136,3 +139,26 @@ def test_auto_constructed_right_inverse(tmp_path):
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["result"]["verify"]["all_pass"] is True
+
+
+def test_corpus_matches_golden_bytes(monkeypatch, capsys):
+    # in-process run of every corpus job against the committed golden output
+    monkeypatch.delenv("WHFACTOR_TOL", raising=False)
+    jobs = json.loads(GOLDEN.read_text(encoding="utf-8"))["jobs"]
+    assert len(jobs) == len(CORPUS)
+    mismatched = []
+    for job in jobs:
+        code = cli.main([job["command"], "--input", str(REPO / job["input"])])
+        out = capsys.readouterr().out.encode("utf-8")
+        if code != job["exit"] or out != job["stdout"].encode("utf-8"):
+            mismatched.append(job["input"])
+    assert mismatched == []
+
+
+@pytest.mark.parametrize("grid", ["4", "0"])
+def test_winding_coarse_grid_is_a_validation_error(grid, capsys):
+    code = cli.main(["winding", "--input", str(DATA / "winding.json"), "--grid", grid])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "grid must be at least 8" in captured.err

@@ -6,11 +6,10 @@ import random
 import pytest
 
 import util
-from whfactor.corona import make_rational_solver
+from whfactor.corona import make_ap_solver, make_rational_solver
 from whfactor.errors import BezoutCertificateInvalid, NotALeftInverse, ShapeMismatch
 from whfactor.exact_linalg import (
     adjoint_submatrix,
-    calibrate_sign_matrix,
     complete,
     delta_left_inverse_from_psi,
     field_bezout_solver,
@@ -20,8 +19,8 @@ from whfactor.exact_linalg import (
     omitted_row_minors,
     one_sided_diagnose,
 )
-from whfactor.matrices import QI, RAT, RingMatrix
-from whfactor.rings import GaussianRational, Polynomial, RationalFunction
+from whfactor.matrices import AP, QI, RAT, RingMatrix
+from whfactor.rings import APPoly, GaussianRational, Polynomial, RationalFunction
 
 
 def laplace_det(m: RingMatrix):
@@ -110,7 +109,7 @@ def test_adjoint_submatrix_tall_and_singular():
 
 def test_calibrated_signs_are_identity_up_to_m5():
     for m in range(1, 6):
-        assert calibrate_sign_matrix(m) == [1] * m
+        assert util.calibrate_sign_matrix(m) == [1] * m
 
 
 def test_delta_left_inverse_examples():
@@ -303,6 +302,23 @@ def test_one_sided_diagnose_with_corona_solver_success():
     diag = one_sided_diagnose(phi, "left", make_rational_solver("H+"))
     assert diag.status == "certificate"
     assert (diag.inverse * phi).is_identity()
+
+
+def test_one_sided_diagnose_dispatches_ap_verdicts_on_status():
+    E = APPoly.e
+    solver = make_ap_solver("+")
+    # no dominant constant coefficient: outside the implemented fragment
+    undecided = RingMatrix(AP, [[E(0) + E(1)], [E(2)]])
+    diag = one_sided_diagnose(undecided, "left", solver)
+    assert diag.status == "unresolved"
+    assert diag.witness is None and diag.inverse is None
+    assert "dominant" in diag.notes[0]
+    # common factor e[1] is not invertible in the plus algebra
+    common = RingMatrix(AP, [[E(1)], [E(2)]])
+    diag = one_sided_diagnose(common, "left", solver)
+    assert diag.status == "not_invertible"
+    assert diag.witness == E(1)
+    assert diag.inverse is None
 
 
 def test_shape_guards():

@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 
 from whfactor import RingMatrix
+from whfactor.exact_linalg import adjoint_submatrix
 from whfactor.matrices import AP, POLY, QI, RAT
 from whfactor.rings import (
     APPoly,
@@ -163,3 +164,49 @@ def rat_matrix(entries) -> RingMatrix:
 
 def ap_matrix(entries) -> RingMatrix:
     return RingMatrix(AP, [[APPoly.coerce(e) for e in row] for row in entries])
+
+
+def calibrate_sign_matrix(m: int, trials: int = 4, seed: int = 7) -> list[int]:
+    """Recover the diagonal sign matrix S_m from the contract
+    adjoint_submatrix(phi, I) * phi == det(phi_I) * S_m on random exact
+    instances over Q(i).  Returns the diagonal as a list of +-1."""
+    rng = random.Random(seed + m)
+    diag = None
+    done = 0
+    while done < trials:
+        n = m + rng.choice([0, 1, 2])
+        phi = RingMatrix(
+            QI,
+            [
+                [GaussianRational(rng.randint(-4, 4), rng.randint(-2, 2)) for _ in range(m)]
+                for _ in range(n)
+            ],
+        )
+        subset = tuple(sorted(rng.sample(range(n), m)))
+        d = phi.submatrix(subset, range(m)).det()
+        if not d:
+            continue
+        prod = adjoint_submatrix(phi, subset) * phi
+        inv_d = d.inv()
+        signs = []
+        ok = True
+        for q in range(m):
+            for p in range(m):
+                ratio = prod[q, p] * inv_d
+                if p == q:
+                    if ratio == QI.one:
+                        signs.append(1)
+                    elif ratio == -QI.one:
+                        signs.append(-1)
+                    else:
+                        ok = False
+                elif ratio:
+                    ok = False
+        if not ok:
+            raise AssertionError("product is not det times a diagonal sign matrix")
+        if diag is None:
+            diag = signs
+        elif diag != signs:
+            raise AssertionError("sign matrix is not constant across instances")
+        done += 1
+    return diag
