@@ -86,26 +86,28 @@ def _opt(job: dict, args, name: str, default=None):
     return job.get(name, default)
 
 
-def _scalar_for(job, args, det, tol):
+def _int_opt(job, args, name: str, default, low: int, high: int | None = None) -> int:
+    """An integer flag or job field in low..high (no upper bound if high is
+    None); anything else is a DecodeError naming the field and its range."""
+    value = _opt(job, args, name, default)
+    try:
+        value = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise DecodeError(f"{name} must be an integer, got {value!r}") from None
+    if value < low or (high is not None and value > high):
+        bound = f"at least {low}" if high is None else f"in {low}..{high}"
+        raise DecodeError(f"{name} must be {bound}, got {value}")
+    return value
+
+
+def _scalar_for(job, G, tol):
     if "scalar" in job:
         return jsonio.decode_scalar_wh(job["scalar"])
-    return wh_factor_scalar(det.factored(tol), tol)
+    return wh_factor_scalar(G.det().factored(tol), tol)
 
 
-def _auto_right_inverse(psi, algebra, tol):
-    diag = one_sided_diagnose(psi, "right", make_rational_solver(algebra, tol))
-    if diag.status != "certificate":
-        raise JobFailure(
-            {
-                "verdict": "one-sided-inverse-unavailable",
-                "diagnosis": diag,
-            }
-        )
-    return diag.inverse
-
-
-def _auto_left_inverse(phi, algebra, tol):
-    diag = one_sided_diagnose(phi, "left", make_rational_solver(algebra, tol))
+def _auto_inverse(m, side, algebra, tol):
+    diag = one_sided_diagnose(m, side, make_rational_solver(algebra, tol))
     if diag.status != "certificate":
         raise JobFailure(
             {
@@ -178,9 +180,7 @@ def run_wh_scalar(job, args, tol):
 
 
 def run_winding(job, args, tol):
-    grid = int(_opt(job, args, "grid", 256))
-    if grid < 8:
-        raise DecodeError(f"grid must be at least 8, got {grid}")
+    grid = _int_opt(job, args, "grid", 256, 8)
     symbol = jsonio.decode_symbol(job["symbol"])
     factored = symbol if not isinstance(symbol, RationalFunction) else symbol.factored(tol)
     return {
@@ -198,24 +198,22 @@ def run_project(job, args, tol):
 def run_wh_matrix(job, args, tol):
     G = jsonio.decode_matrix(job["matrix"], "rational")
     mode = _opt(job, args, "mode", "row")
-    n = G.rows
-    det = G.det()
-    scalar = _scalar_for(job, args, det, tol)
+    scalar = _scalar_for(job, G, tol)
     if mode == "row":
-        omitted = int(_opt(job, args, "omitted", n - 1))
+        omitted = _int_opt(job, args, "omitted", G.rows - 1, 0, G.rows - 1)
         psi = G.delete_row(omitted)
         if "phi_plus" in job:
             phi_plus = jsonio.decode_matrix(job["phi_plus"], "rational")
         else:
-            phi_plus = _auto_right_inverse(psi, "H+", tol)
+            phi_plus = _auto_inverse(psi, "right", "H+", tol)
         fact = factor_via_row(G, omitted, phi_plus, scalar, tol)
     elif mode == "col":
-        omitted = int(_opt(job, args, "omitted", n - 1))
+        omitted = _int_opt(job, args, "omitted", G.cols - 1, 0, G.cols - 1)
         phi = G.delete_col(omitted)
         if "psi_minus" in job:
             psi_minus = jsonio.decode_matrix(job["psi_minus"], "rational")
         else:
-            psi_minus = _auto_left_inverse(phi, "H-", tol)
+            psi_minus = _auto_inverse(phi, "left", "H-", tol)
         fact = factor_via_column(G, omitted, psi_minus, scalar, tol)
     elif mode == "rh":
         phi_plus = jsonio.decode_matrix(job["phi_plus"], "rational")
@@ -223,11 +221,11 @@ def run_wh_matrix(job, args, tol):
         if "psi_plus" in job:
             psi_plus = jsonio.decode_matrix(job["psi_plus"], "rational")
         else:
-            psi_plus = _auto_left_inverse(phi_plus, "H+", tol)
+            psi_plus = _auto_inverse(phi_plus, "left", "H+", tol)
         if "psi_minus" in job:
             psi_minus = jsonio.decode_matrix(job["psi_minus"], "rational")
         else:
-            psi_minus = _auto_left_inverse(phi_minus, "H-", tol)
+            psi_minus = _auto_inverse(phi_minus, "left", "H-", tol)
         fact = factor_via_rh(G, phi_plus, phi_minus, psi_plus, psi_minus, scalar, tol)
     else:
         raise DecodeError("mode must be row, col or rh")
@@ -247,7 +245,7 @@ def run_ap_factor(job, args, tol):
             jsonio.decode_gaussian(d["gamma_plus"]),
         )
     if mode == "row":
-        omitted = int(_opt(job, args, "omitted", G.rows - 1))
+        omitted = _int_opt(job, args, "omitted", G.rows - 1, 0, G.rows - 1)
         phi_plus = jsonio.decode_matrix(job["phi_plus"], "ap")
         out = ap_factor_via_row(G, omitted, phi_plus, detf)
     elif mode == "rh":
@@ -284,7 +282,7 @@ def run_report(job, args, tol):
         level = job["level"]
         kwargs = {"tol": tol}
         if "omitted" in job:
-            kwargs["omitted"] = int(job["omitted"])
+            kwargs["omitted"] = _int_opt(job, None, "omitted", None, 0, G.rows - 1)
         for key in ("phi_plus", "psi_minus"):
             if key in job:
                 kwargs[key] = jsonio.decode_matrix(job[key], "rational")

@@ -105,18 +105,12 @@ def adjoint_submatrix(phi: RingMatrix, subset) -> RingMatrix:
     subset = tuple(subset)
     if len(subset) != m:
         raise ShapeMismatch("subset size must equal the column count")
-    ring = phi.ring
-    sub = phi.submatrix(subset, range(m))
-    out = [[ring.zero] * n for _ in range(m)]
-    if m == 1:
-        out[0][subset[0]] = ring.one
-        return RingMatrix(ring, out)
-    for pos in range(m):
-        reduced = sub.delete_row(pos)
-        for q in range(m):
-            minor = reduced.delete_col(q).det()
-            out[q][subset[pos]] = minor if (pos + q) % 2 == 0 else -minor
-    return RingMatrix(ring, out)
+    adj = phi.submatrix(subset, range(m)).adjugate()
+    out = [[phi.ring.zero] * n for _ in range(m)]
+    for q in range(m):
+        for pos, p in enumerate(subset):
+            out[q][p] = adj[q, pos]
+    return RingMatrix(phi.ring, out)
 
 
 def delta_left_inverse_from_psi(psi: RingMatrix, phi: RingMatrix) -> list:
@@ -126,8 +120,7 @@ def delta_left_inverse_from_psi(psi: RingMatrix, phi: RingMatrix) -> list:
         raise ShapeMismatch("inverse-candidate shapes do not match")
     if not (psi * phi).is_identity():
         raise NotALeftInverse("psi * phi is not the identity")
-    m, n = psi.rows, psi.cols
-    return [psi.submatrix(range(m), s).det() for s in combinations(range(n), m)]
+    return list(maximal_minors(psi.transpose()).values)
 
 
 def _bezout_pairing(values, delta_star, ring: Ring):
@@ -198,15 +191,9 @@ def complete(phi: RingMatrix, psi: RingMatrix) -> Completion:
     if not (psi * phi).is_identity():
         raise NotALeftInverse("psi * phi is not the identity")
     ring = phi.ring
-    col = []
-    for j in range(n):
-        minor = psi.delete_col(j).det() if m else ring.one
-        col.append([minor if j % 2 == 0 else -minor])
-    row = []
-    for j in range(n):
-        minor = phi.delete_row(j).det() if m else ring.one
-        row.append(minor if j % 2 == 0 else -minor)
-    phi_e = phi.hstack(RingMatrix(ring, col))
+    col = [v if j % 2 == 0 else -v for j, v in enumerate(omitted_row_minors(psi.transpose()))]
+    row = [v if j % 2 == 0 else -v for j, v in enumerate(omitted_row_minors(phi))]
+    phi_e = phi.hstack(RingMatrix(ring, [[v] for v in col]))
     psi_e = psi.vstack(RingMatrix(ring, [row]))
     if not (psi_e * phi_e).is_identity() or not (phi_e * psi_e).is_identity():
         raise NotALeftInverse("completion failed its two-sided identity")

@@ -257,6 +257,8 @@ def decode_matrix(v, ring_name: str | None = None) -> RingMatrix:
         raise DecodeError(f"unknown ring {ring_name!r}")
     if not isinstance(v, list) or not v or not all(isinstance(r, list) for r in v):
         raise DecodeError("matrix entries must be a nested array")
+    if len({len(r) for r in v}) != 1:
+        raise DecodeError(f"matrix rows differ in length: {[len(r) for r in v]}")
     dec = _ENTRY_DECODERS[ring_name]
     return RingMatrix(RINGS[ring_name], [[dec(x) for x in row] for row in v])
 

@@ -2,7 +2,8 @@
 
 Determinants use subset dynamic programming (Laplace expansion with shared
 minors), which is exact in any commutative ring and adequate at the small
-sizes this library targets (n up to ~8).
+sizes this library targets (n up to ~8).  The same subset table serves
+adjugates: one table per deleted column yields a whole row of cofactors.
 """
 
 from __future__ import annotations
@@ -225,11 +226,11 @@ class RingMatrix:
             return RingMatrix.identity(self.ring, 1)
         out = []
         for i in range(n):
+            # row i: minors of the matrix without column i, keyed by the omitted row
+            table = minors_by_subset(self.delete_col(i), n - 1)
             row = []
             for j in range(n):
-                minor = self.submatrix(
-                    [r for r in range(n) if r != j], [c for c in range(n) if c != i]
-                ).det()
+                minor = table[tuple(r for r in range(n) if r != j)]
                 row.append(minor if (i + j) % 2 == 0 else -minor)
             out.append(row)
         return RingMatrix(self.ring, out)

@@ -416,8 +416,7 @@ def _entry_report(M: RingMatrix, half: str, tol: float, label: str):
     return (label, ok, detail)
 
 
-def _det_report(M: RingMatrix, half: str, tol: float, label: str):
-    det = M.det()
+def _det_report(det, half: str, tol: float, label: str):
     if det.is_zero:
         return (label, False, "determinant vanishes identically")
     if not det.invertible_on_line():
@@ -459,18 +458,20 @@ def verify_factorization(
     )
     checks.append(_entry_report(F.g_plus, "+", tol, "gplus-analytic"))
     checks.append(_entry_report(F.g_minus, "-", tol, "gminus-analytic"))
-    try:
-        gp_inv = F.g_plus.inverse()
-        checks.append(_entry_report(gp_inv, "+", tol, "gplus-inverse-analytic"))
-    except ZeroDivisionError:
-        checks.append(("gplus-inverse-analytic", False, "g_plus is not invertible"))
-    try:
-        gm_inv = F.g_minus.inverse()
-        checks.append(_entry_report(gm_inv, "-", tol, "gminus-inverse-analytic"))
-    except ZeroDivisionError:
-        checks.append(("gminus-inverse-analytic", False, "g_minus is not invertible"))
-    checks.append(_det_report(F.g_plus, "+", tol, "det-gplus-invertible"))
-    checks.append(_det_report(F.g_minus, "-", tol, "det-gminus-invertible"))
+    det_plus, det_minus = F.g_plus.det(), F.g_minus.det()
+    for name, M, det, half in (
+        ("g_plus", F.g_plus, det_plus, "+"),
+        ("g_minus", F.g_minus, det_minus, "-"),
+    ):
+        # RingMatrix.inverse, reusing the determinant taken above
+        label = name.replace("_", "") + "-inverse-analytic"
+        try:
+            inv = M.adjugate().scale(M.ring.invert(det))
+            checks.append(_entry_report(inv, half, tol, label))
+        except ZeroDivisionError:
+            checks.append((label, False, f"{name} is not invertible"))
+    checks.append(_det_report(det_plus, "+", tol, "det-gplus-invertible"))
+    checks.append(_det_report(det_minus, "-", tol, "det-gminus-invertible"))
     return VerificationReport(tuple(checks))
 
 

@@ -162,3 +162,45 @@ def test_winding_coarse_grid_is_a_validation_error(grid, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "grid must be at least 8" in captured.err
+
+
+CLASSIFY = {"kind": "classify", "matrix": [[1, 0], [0, 1]], "structure": "row", "level": "H"}
+
+
+@pytest.mark.parametrize(
+    "command,name,override,flags,expected",
+    [
+        ("winding", "winding.json", {"grid": "abc"}, [], "grid must be an integer"),
+        ("wh-matrix", "wh_matrix_row.json", {}, ["--omitted", "5"], "omitted must be in 0..1"),
+        ("wh-matrix", "wh_matrix_row.json", {}, ["--omitted", "-1"], "omitted must be in 0..1"),
+        ("wh-matrix", "wh_matrix_col.json", {"omitted": 5}, [], "omitted must be in 0..1"),
+        ("wh-matrix", "wh_matrix_col.json", {"omitted": "one"}, [], "omitted must be an integer"),
+        ("ap-factor", "ap_row.json", {"omitted": -1}, [], "omitted must be in 0..1"),
+        ("ap-factor", "ap_row.json", {}, ["--omitted", "5"], "omitted must be in 0..1"),
+        ("report", None, {**CLASSIFY, "omitted": 5}, [], "omitted must be in 0..1"),
+        ("minors", None, {"ring": "gaussian", "matrix": [[1, 2], [3]]}, [], "matrix rows differ"),
+    ],
+    ids=[
+        "winding-grid-abc",
+        "wh-matrix-row-flag-5",
+        "wh-matrix-row-flag--1",
+        "wh-matrix-col-field-5",
+        "wh-matrix-col-field-one",
+        "ap-factor-field--1",
+        "ap-factor-flag-5",
+        "report-classify-field-5",
+        "minors-ragged",
+    ],
+)
+def test_malformed_field_is_a_validation_error(
+    command, name, override, flags, expected, tmp_path, capsys
+):
+    job = json.loads((DATA / name).read_text()) if name else {}
+    job.update(override)
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    code = cli.main([command, "--input", str(path), *flags])
+    captured = capsys.readouterr()
+    assert code == 2, captured.err
+    assert captured.out == ""
+    assert expected in captured.err

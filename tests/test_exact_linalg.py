@@ -19,8 +19,8 @@ from whfactor.exact_linalg import (
     omitted_row_minors,
     one_sided_diagnose,
 )
-from whfactor.matrices import AP, QI, RAT, RingMatrix
-from whfactor.rings import APPoly, GaussianRational, Polynomial, RationalFunction
+from whfactor.matrices import AP, MIXED, POLY, QI, RAT, RingMatrix
+from whfactor.rings import APPoly, GaussianRational, MixedFunction, Polynomial, RationalFunction
 
 
 def laplace_det(m: RingMatrix):
@@ -42,6 +42,72 @@ def test_det_matches_laplace_oracle():
         n = rng.randint(1, 5)
         m = RingMatrix(QI, [[util.rand_gr(rng) for _ in range(n)] for _ in range(n)])
         assert m.det() == laplace_det(m)
+
+
+def _rand_rational(rng):
+    pole = Polynomial([rng.choice([1, GaussianRational(0, 1), GaussianRational(0, -2)]), 1])
+    return RationalFunction(util.rand_poly(rng, 1), pole if rng.random() < 0.5 else 1)
+
+
+RAND_ENTRY = {
+    "gaussian": util.rand_gr,
+    "polynomial": lambda rng: util.rand_poly(rng, 1),
+    "rational": _rand_rational,
+    "ap": lambda rng: util.rand_appoly(rng, 2),
+    "mixed": lambda rng: MixedFunction([(rng.choice([0, 1]), _rand_rational(rng))]),
+}
+ALL_RINGS = [QI, POLY, RAT, AP, MIXED]
+
+
+def laplace_cofactor(m: RingMatrix, i: int, j: int):
+    """Signed cofactor (-1)**(i+j) det(m without row i and column j)."""
+    n = m.rows
+    if n == 1:
+        return m.ring.one
+    minor = laplace_det(
+        m.submatrix([r for r in range(n) if r != i], [c for c in range(n) if c != j])
+    )
+    return minor if (i + j) % 2 == 0 else -minor
+
+
+def rand_corank1_pair(ring, rng, n):
+    """phi (n x n-1) and psi (n-1 x n) with psi * phi = I, cut from a product
+    of two transvections with random off-diagonal entries and its inverse."""
+    s = s_inv = RingMatrix.identity(ring, n)
+    for _ in range(2):
+        i, j = rng.sample(range(n), 2)
+        c = RAND_ENTRY[ring.name](rng)
+        e = [[ring.one if a == b else ring.zero for b in range(n)] for a in range(n)]
+        e_inv = [list(r) for r in e]
+        e[i][j], e_inv[i][j] = c, -c
+        s, s_inv = s * RingMatrix(ring, e), RingMatrix(ring, e_inv) * s_inv
+    return s.submatrix(range(n), range(n - 1)), s_inv.submatrix(range(n - 1), range(n))
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=lambda r: r.name)
+def test_adjugate_matches_laplace_cofactors(ring):
+    rng = random.Random(19)
+    entry = RAND_ENTRY[ring.name]
+    for n in range(1, 6):
+        m = RingMatrix(ring, [[entry(rng) for _ in range(n)] for _ in range(n)])
+        adj = m.adjugate()
+        for i in range(n):
+            for j in range(n):
+                assert adj[i, j] == laplace_cofactor(m, j, i), (n, i, j)
+
+
+@pytest.mark.parametrize("ring", ALL_RINGS, ids=lambda r: r.name)
+def test_complete_border_matches_laplace_minors(ring):
+    rng = random.Random(23)
+    for n in range(2, 6):
+        phi, psi = rand_corank1_pair(ring, rng, n)
+        comp = complete(phi, psi)
+        for j in range(n):
+            sign = ring.one if j % 2 == 0 else -ring.one
+            psi_minor = laplace_det(psi.submatrix(range(n - 1), [c for c in range(n) if c != j]))
+            phi_minor = laplace_det(phi.submatrix([r for r in range(n) if r != j], range(n - 1)))
+            assert comp.phi_e[j, n - 1] == sign * psi_minor, (n, j)
+            assert comp.psi_e[n - 1, j] == sign * phi_minor, (n, j)
 
 
 def test_maximal_minors_worked_example():
