@@ -88,14 +88,13 @@ def _opt(job: dict, args, name: str, default=None):
 
 def _int_opt(job, args, name: str, default, low: int, high: int | None = None) -> int:
     """An integer flag or job field in low..high (no upper bound if high is
-    None); anything else is a DecodeError naming the field and its range."""
+    None); anything else, a bool, float or string included, is a DecodeError
+    naming the field and its range."""
     value = _opt(job, args, name, default)
-    try:
-        value = int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise DecodeError(f"{name} must be an integer, got {value!r}") from None
+    bound = f"at least {low}" if high is None else f"in {low}..{high}"
+    if type(value) is not int:
+        raise DecodeError(f"{name} must be an integer {bound}, got {value!r}")
     if value < low or (high is not None and value > high):
-        bound = f"at least {low}" if high is None else f"in {low}..{high}"
         raise DecodeError(f"{name} must be {bound}, got {value}")
     return value
 

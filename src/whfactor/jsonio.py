@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .ap import APFactorization, MeanMotionResult, SplitUnavailable
 from .corona import CoronaCertificate, CoronaFailure, Unresolved
+from .errors import ZeroDenominator
 from .exact_linalg import Completion, Diagnosis, MinorVector
 from .fredholm import FredholmReport
 from .matrices import RINGS, RingMatrix
@@ -207,9 +208,11 @@ def decode_rational(v) -> RationalFunction:
     """{"num": ..., "den": ...} is a quotient; a bare array is read as
     polynomial coefficients; anything else as a constant scalar."""
     if isinstance(v, dict) and ("num" in v or "den" in v):
-        return RationalFunction(
-            decode_polynomial(v.get("num", [1])), decode_polynomial(v.get("den", [1]))
-        )
+        num, den = decode_polynomial(v.get("num", [1])), decode_polynomial(v.get("den", [1]))
+        try:
+            return RationalFunction(num, den)
+        except ZeroDenominator as exc:
+            raise DecodeError(str(exc)) from None
     if isinstance(v, list):
         return RationalFunction(decode_polynomial(v))
     return RationalFunction(Polynomial([decode_gaussian(v)]))

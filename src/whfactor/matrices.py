@@ -68,7 +68,7 @@ RINGS = {r.name: r for r in (QI, POLY, RAT, AP, MIXED)}
 class RingMatrix:
     """Immutable dense matrix; entries share one ring."""
 
-    __slots__ = ("rows", "cols", "entries", "ring")
+    __slots__ = ("rows", "cols", "entries", "ring", "_det")
 
     def __init__(self, ring: Ring, entries):
         rows = [list(r) for r in entries]
@@ -83,6 +83,7 @@ class RingMatrix:
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", ncols)
         object.__setattr__(self, "entries", coerced)
+        object.__setattr__(self, "_det", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RingMatrix is immutable")
@@ -213,10 +214,13 @@ class RingMatrix:
         )
 
     def det(self):
-        if self.rows != self.cols:
-            raise ShapeMismatch("determinant of a non-square matrix")
-        table = minors_by_subset(self, self.cols)
-        return table[tuple(range(self.rows))]
+        """The determinant, taken once per matrix (the matrix is immutable)."""
+        if self._det is None:
+            if self.rows != self.cols:
+                raise ShapeMismatch("determinant of a non-square matrix")
+            table = minors_by_subset(self, self.cols)
+            object.__setattr__(self, "_det", table[tuple(range(self.rows))])
+        return self._det
 
     def adjugate(self) -> "RingMatrix":
         if self.rows != self.cols:

@@ -5,6 +5,9 @@ Conventions:
 
 * the base field is Q(i) (rational real and imaginary parts), so the
   half-plane of a zero or pole is an exact predicate of its imaginary part;
+* a Q(i) scalar is three plain ints, (a + b*i)/d with d > 0 and
+  gcd(a, b, d) = 1: each operation costs a few int products and one gcd,
+  and the canonical triple makes equality structural;
 * rational functions are canonical (coprime numerator/denominator, monic
   denominator), so structural equality is mathematical equality;
 * half-plane tags: '+' for the open upper half-plane, '-' for the open
@@ -37,17 +40,47 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
-class GaussianRational:
-    """An element of Q(i), stored as exact real and imaginary parts."""
+def _parts(x):
+    """(a, b, d) with x = (a + b*i)/d in canonical form, or None when x is
+    not an exact scalar."""
+    if isinstance(x, GaussianRational):
+        return x._a, x._b, x._d
+    if isinstance(x, int):
+        return int(x), 0, 1
+    if isinstance(x, Fraction):
+        return x.numerator, 0, x.denominator
+    return None
 
-    __slots__ = ("re", "im")
+
+class GaussianRational:
+    """An element of Q(i), stored as (a + b*i)/d over plain ints.
+
+    The triple is canonical: d > 0 and gcd(a, b, d) = 1, so equality is
+    structural.  The real and imaginary parts are read as Fractions through
+    the read-only properties re and im.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+        if type(re) is int and type(im) is int:
+            self._a, self._b, self._d = re, im, 1
+            return
+        re, im = _as_fraction(re), _as_fraction(im)
+        q, s = re.denominator, im.denominator
+        d = q if q == s else math.lcm(q, s)
+        # both parts are reduced, so no prime of d divides a and b together
+        self._a = re.numerator * (d // q)
+        self._b = im.numerator * (d // s)
+        self._d = d
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     @staticmethod
     def coerce(x) -> "GaussianRational":
@@ -58,55 +91,64 @@ class GaussianRational:
         raise TypeError(f"cannot coerce {type(x).__name__} to GaussianRational")
 
     def __add__(self, other):
-        try:
-            o = GaussianRational.coerce(other)
-        except TypeError:
+        o = _parts(other)
+        if o is None:
             return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        a, b, d = o
+        if d == self._d:
+            return _canon(self._a + a, self._b + b, d)
+        return _canon(self._a * d + a * self._d, self._b * d + b * self._d, self._d * d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        try:
-            o = GaussianRational.coerce(other)
-        except TypeError:
+        o = _parts(other)
+        if o is None:
             return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+        a, b, d = o
+        if d == self._d:
+            return _canon(self._a - a, self._b - b, d)
+        return _canon(self._a * d - a * self._d, self._b * d - b * self._d, self._d * d)
 
     def __rsub__(self, other):
-        try:
-            o = GaussianRational.coerce(other)
-        except TypeError:
+        o = _parts(other)
+        if o is None:
             return NotImplemented
-        return GaussianRational(o.re - self.re, o.im - self.im)
+        a, b, d = o
+        if d == self._d:
+            return _canon(a - self._a, b - self._b, d)
+        return _canon(a * self._d - self._a * d, b * self._d - self._b * d, self._d * d)
 
     def __mul__(self, other):
-        try:
-            o = GaussianRational.coerce(other)
-        except TypeError:
+        o = _parts(other)
+        if o is None:
             return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
+        a, b, d = o
+        a1, b1 = self._a, self._b
+        return _canon(a1 * a - b1 * b, a1 * b + b1 * a, self._d * d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        try:
-            o = GaussianRational.coerce(other)
-        except TypeError:
+        o = _parts(other)
+        if o is None:
             return NotImplemented
-        return self * o.inv()
+        a, b, d = o
+        n = a * a + b * b
+        if n == 0:
+            raise ZeroDivisionError("inverse of zero Gaussian rational")
+        a1, b1 = self._a, self._b
+        # (a1 + b1*i)/d1 * d*(a - b*i)/n
+        return _canon(d * (a1 * a + b1 * b), d * (b1 * a - a1 * b), self._d * n)
 
     def __rtruediv__(self, other):
-        try:
-            o = GaussianRational.coerce(other)
-        except TypeError:
+        o = _parts(other)
+        if o is None:
             return NotImplemented
-        return o * self.inv()
+        return _raw(*o) * self.inv()
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _raw(-self._a, -self._b, self._d)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -118,53 +160,80 @@ class GaussianRational:
         return out
 
     def __eq__(self, other):
-        try:
-            o = GaussianRational.coerce(other)
-        except TypeError:
+        o = _parts(other)
+        if o is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self._a == o[0] and self._b == o[1] and self._d == o[2]
 
     def __hash__(self):
+        # equal to hash((self.re, self.im)): an int hashes like the equal Fraction
+        if self._d == 1:
+            return hash((self._a, self._b))
         return hash((self.re, self.im))
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self._a or self._b)
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _raw(self._a, -self._b, self._d)
 
     def abs2(self) -> Fraction:
         """|z|^2, exactly."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     def inv(self) -> "GaussianRational":
-        d = self.abs2()
-        if d == 0:
+        a, b, d = self._a, self._b, self._d
+        n = a * a + b * b
+        if n == 0:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return GaussianRational(self.re / d, -self.im / d)
+        return _canon(a * d, -b * d, n)
 
     @property
     def is_real(self) -> bool:
-        return self.im == 0
+        return self._b == 0
 
     def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        # int true division is correctly rounded, as float(Fraction) is
+        return complex(self._a / self._d, self._b / self._d)
 
     def half_plane(self) -> str:
         """'+', '-' or 'R' according to the sign of the imaginary part."""
-        if self.im > 0:
+        if self._b > 0:
             return "+"
-        if self.im < 0:
+        if self._b < 0:
             return "-"
         return "R"
 
     def __repr__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"({self.re}{sign}{abs(self.im)}i)"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return f"{im}i"
+        sign = "+" if im > 0 else "-"
+        return f"({re}{sign}{abs(im)}i)"
+
+
+_new = object.__new__
+
+
+def _raw(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i)/d from a triple that is already canonical."""
+    z = _new(GaussianRational)
+    z._a = a
+    z._b = b
+    z._d = d
+    return z
+
+
+def _canon(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b*i)/d for d > 0, reduced to canonical form."""
+    g = math.gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    return _raw(a, b, d)
 
 
 ZERO = GaussianRational(0)
@@ -238,10 +307,12 @@ class Polynomial:
             o = Polynomial.coerce(other)
         except TypeError:
             return NotImplemented
-        n = max(len(self.coeffs), len(o.coeffs))
-        a = list(self.coeffs) + [ZERO] * (n - len(self.coeffs))
-        b = list(o.coeffs) + [ZERO] * (n - len(o.coeffs))
-        return Polynomial([x + y for x, y in zip(a, b)])
+        a, b = self.coeffs, o.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = [x + y for x, y in zip(a, b)]
+        out.extend(a[len(b):])
+        return _poly(out)
 
     __radd__ = __add__
 
@@ -256,7 +327,7 @@ class Polynomial:
         return (-self) + other
 
     def __neg__(self):
-        return Polynomial([-c for c in self.coeffs])
+        return _poly([-c for c in self.coeffs])
 
     def __mul__(self, other):
         try:
@@ -271,32 +342,35 @@ class Polynomial:
                 continue
             for j, b in enumerate(o.coeffs):
                 out[i + j] = out[i + j] + a * b
-        return Polynomial(out)
+        return _poly(out)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "Polynomial":
         c = GaussianRational.coerce(c)
-        return Polynomial([a * c for a in self.coeffs])
+        return _poly([a * c for a in self.coeffs])
 
     def __divmod__(self, other):
         o = Polynomial.coerce(other)
         if o.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
+        div, m = o.coeffs[:-1], len(o.coeffs)
         rem = list(self.coeffs)
-        q = [ZERO] * max(0, len(rem) - len(o.coeffs) + 1)
+        q = [ZERO] * max(0, len(rem) - m + 1)
         inv_lead = o.lead.inv()
-        while len(rem) >= len(o.coeffs):
-            c = rem[-1] * inv_lead
-            k = len(rem) - len(o.coeffs)
+        while len(rem) >= m:
+            c = rem.pop() * inv_lead
+            k = len(rem) - m + 1
             q[k] = c
-            for j, b in enumerate(o.coeffs):
-                rem[k + j] = rem[k + j] - c * b
+            ca, cb, cd = c._a, c._b, c._d
+            for j, b in enumerate(div):
+                # rem[k + j] - c * b, reduced once
+                r = rem[k + j]
+                x, y, e = ca * b._a - cb * b._b, ca * b._b + cb * b._a, cd * b._d
+                rem[k + j] = _canon(r._a * e - x * r._d, r._b * e - y * r._d, r._d * e)
             while rem and not rem[-1]:
                 rem.pop()
-            if not rem:
-                break
-        return Polynomial(q), Polynomial(rem)
+        return _poly(q), _poly(rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -397,6 +471,15 @@ class Polynomial:
             else:
                 parts.append(f"{c}*x^{k}")
         return " + ".join(parts)
+
+
+def _poly(cs: list) -> Polynomial:
+    """Polynomial from a list of GaussianRationals, trailing zeros dropped."""
+    while cs and not cs[-1]:
+        cs.pop()
+    p = _new(Polynomial)
+    object.__setattr__(p, "coeffs", tuple(cs))
+    return p
 
 
 def egcd_many(polys):

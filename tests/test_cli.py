@@ -5,10 +5,12 @@ import json
 import pathlib
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
-from whfactor import cli
+from whfactor import cli, exact_linalg, jsonio, matrices
+from whfactor.matrices import minors_by_subset
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 DATA = REPO / "demos" / "data"
@@ -179,6 +181,16 @@ CLASSIFY = {"kind": "classify", "matrix": [[1, 0], [0, 1]], "structure": "row", 
         ("ap-factor", "ap_row.json", {}, ["--omitted", "5"], "omitted must be in 0..1"),
         ("report", None, {**CLASSIFY, "omitted": 5}, [], "omitted must be in 0..1"),
         ("minors", None, {"ring": "gaussian", "matrix": [[1, 2], [3]]}, [], "matrix rows differ"),
+        ("wh-matrix", "wh_matrix_row.json", {"omitted": 1.7}, [], "omitted must be an integer in 0..1"),
+        ("wh-matrix", "wh_matrix_row.json", {"omitted": True}, [], "omitted must be an integer in 0..1"),
+        ("wh-matrix", "wh_matrix_row.json", {"omitted": "1"}, [], "omitted must be an integer in 0..1"),
+        ("winding", "winding.json", {"grid": 256.9}, [], "grid must be an integer at least 8"),
+        (
+            "wh-matrix", "wh_matrix_row.json",
+            {"matrix": [[1, {"num": [1], "den": [0]}], [0, 1]]}, [],
+            "denominator is identically zero",
+        ),
+        ("project", "project.json", {"symbol": {"num": [1], "den": [0, 0]}}, [], "identically zero"),
     ],
     ids=[
         "winding-grid-abc",
@@ -190,6 +202,12 @@ CLASSIFY = {"kind": "classify", "matrix": [[1, 0], [0, 1]], "structure": "row", 
         "ap-factor-flag-5",
         "report-classify-field-5",
         "minors-ragged",
+        "wh-matrix-row-field-fractional",
+        "wh-matrix-row-field-bool",
+        "wh-matrix-row-field-string",
+        "winding-grid-fractional",
+        "wh-matrix-zero-den-entry",
+        "project-zero-den-symbol",
     ],
 )
 def test_malformed_field_is_a_validation_error(
@@ -204,3 +222,27 @@ def test_malformed_field_is_a_validation_error(
     assert code == 2, captured.err
     assert captured.out == ""
     assert expected in captured.err
+
+
+@pytest.mark.parametrize("name", ["wh_matrix_row.json", "wh_matrix_rh.json", "wh_matrix_col.json"])
+def test_wh_matrix_takes_the_symbol_determinant_once(name, monkeypatch, capsys):
+    """One full-size minor table of the symbol per job, counting its row or
+    column permutations: the route checks the scalar against the
+    determinant that the scalar factorization was taken from."""
+    G = jsonio.decode_matrix(json.loads((DATA / name).read_text())["matrix"], "rational")
+    n = G.rows
+    rows, cols = Counter(G.entries), Counter(G.transpose().entries)
+    symbol_tables = []
+
+    def counting(m, size):
+        if size == n == m.rows and (
+            Counter(m.entries) == rows or Counter(m.transpose().entries) == cols
+        ):
+            symbol_tables.append(m)
+        return minors_by_subset(m, size)
+
+    monkeypatch.setattr(matrices, "minors_by_subset", counting)
+    monkeypatch.setattr(exact_linalg, "minors_by_subset", counting)
+    assert cli.main(["wh-matrix", "--input", str(DATA / name)]) == 0
+    capsys.readouterr()
+    assert len(symbol_tables) == 1

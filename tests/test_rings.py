@@ -2,10 +2,14 @@
 functions, factoring with snap, the disk substitution, and the almost
 periodic ring."""
 
+import math
+import operator
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import util
 from whfactor.errors import RootClassificationAmbiguous, ZeroDenominator
@@ -47,6 +51,132 @@ def test_gaussian_canonical_fractions():
     assert g.re.denominator == 2 and g.re.numerator == 1
     assert g.conjugate().im == 2
     assert g.abs2() == Fraction(1, 4) + 4
+
+
+_EXACT = st.one_of(st.integers(-(10**6), 10**6), st.fractions(max_denominator=10**4))
+# an operand is a Gaussian rational, or a plain int or Fraction (imaginary part 0)
+_OPERAND = st.one_of(
+    st.tuples(st.just("gaussian"), _EXACT, _EXACT),
+    st.tuples(st.just("int"), st.integers(-50, 50), st.just(0)),
+    st.tuples(st.just("fraction"), st.fractions(max_denominator=50), st.just(0)),
+)
+_STEP = st.tuples(
+    st.sampled_from(["+", "-", "*", "/", "inv", "neg", "conjugate", "pow", "abs2"]),
+    _OPERAND,
+    st.booleans(),  # plain operand on the left (reflected operator)
+    st.integers(-3, 3),
+)
+
+
+def _reference_repr(re: Fraction, im: Fraction) -> str:
+    if im == 0:
+        return str(re)
+    if re == 0:
+        return f"{im}i"
+    sign = "+" if im > 0 else "-"
+    return f"({re}{sign}{abs(im)}i)"
+
+
+def _reference_step(op, x, y, n):
+    """The step on (re, im) pairs of Fractions; None stands for ZeroDivisionError."""
+    (a, b), (c, d) = x, y
+    if op == "+":
+        return a + c, b + d
+    if op == "-":
+        return a - c, b - d
+    if op == "*":
+        return a * c - b * d, a * d + b * c
+    if op == "/":
+        m = c * c + d * d
+        return None if m == 0 else ((a * c + b * d) / m, (b * c - a * d) / m)
+    if op == "inv":
+        m = a * a + b * b
+        return None if m == 0 else (a / m, -b / m)
+    if op == "neg":
+        return -a, -b
+    if op == "conjugate":
+        return a, -b
+    if op == "pow":
+        out = (Fraction(1), Fraction(0))
+        base = x if n >= 0 else _reference_step("inv", x, y, 0)
+        if base is None:
+            return None
+        for _ in range(abs(n)):
+            out = _reference_step("*", out, base, 0)
+        return out
+    raise AssertionError(op)
+
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _apply(op, z, w, left, n):
+    if op in _BINARY:
+        fn = _BINARY[op]
+        return fn(w, z) if left else fn(z, w)
+    if op == "inv":
+        return z.inv()
+    if op == "neg":
+        return -z
+    if op == "conjugate":
+        return z.conjugate()
+    return z ** n
+
+
+def _assert_matches(z, re, im):
+    assert isinstance(z.re, Fraction) and isinstance(z.im, Fraction)
+    assert (z.re, z.im) == (re, im)
+    assert z._d > 0 and math.gcd(z._a, z._b, z._d) == 1
+    assert hash(z) == hash((re, im))
+    assert repr(z) == _reference_repr(re, im)
+    assert z == GaussianRational(re, im) and not z != GaussianRational(re, im)
+    assert bool(z) == (re != 0 or im != 0)
+    c = z.to_complex()
+    ref = complex(re) + 1j * complex(im)
+    assert (c.real.hex(), c.imag.hex()) == (ref.real.hex(), ref.imag.hex())
+    if im == 0:
+        assert z == re and not z == re + 1
+        if re.denominator == 1:
+            assert z == int(re) and not z == int(re) + 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(_EXACT, _EXACT, st.lists(_STEP, max_size=8))
+def test_gaussian_core_matches_fraction_pairs(re, im, steps):
+    """Random chains of field operations agree with a reference on pairs of
+    Fractions, and every result keeps the canonical (a + b*i)/d form."""
+    z, ref = GaussianRational(re, im), (Fraction(re), Fraction(im))
+    _assert_matches(z, *ref)
+    for op, (kind, wre, wim), left, n in steps:
+        w = GaussianRational(wre, wim) if kind == "gaussian" else wre
+        wref = (Fraction(wre), Fraction(wim))
+        if op == "abs2":
+            value = z.abs2()
+            assert isinstance(value, Fraction) and value == ref[0] ** 2 + ref[1] ** 2
+            continue
+        if left and op in _BINARY:
+            expected = _reference_step(op, wref, ref, n)
+        else:
+            expected = _reference_step(op, ref, wref, n)
+        if expected is None:
+            with pytest.raises(ZeroDivisionError):
+                _apply(op, z, w, left, n)
+            continue
+        z, ref = _apply(op, z, w, left, n), expected
+        assert isinstance(z, GaussianRational)
+        _assert_matches(z, *ref)
+
+
+def test_gaussian_refuses_floats():
+    z = GaussianRational(1, 2)
+    for args in ((0.5,), (1, 0.5), (Fraction(1, 2), 2.0)):
+        with pytest.raises(TypeError):
+            GaussianRational(*args)
+    with pytest.raises(TypeError):
+        z + 0.5
+    with pytest.raises(TypeError):
+        0.5 * z
+    assert not z == 0.5
 
 
 def test_polynomial_divmod_and_gcd():
