@@ -20,24 +20,18 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import (
-    HypothesisViolation,
-    MembershipViolation,
-    NearZeroOnContour,
-    NotOrthogonal,
-    NotUnitary,
-    RHResidualNonzero,
-    ShapeMismatch,
-    ZeroInput,
-)
+from .errors import HypothesisViolation, MembershipViolation, NearZeroOnContour, ZeroInput
 from .corona import CoronaCertificate, CoronaFailure, Unresolved, corona_solve_ap
-from .fredholm import FredholmReport
-from .matrices import AP, RingMatrix
+from .fredholm import FredholmReport, _unitary_or_orthogonal
+from .matrices import AP, RingMatrix, _require_inside
 from .matrix_wh import (
     _assemble_rh,
     _assemble_row,
+    _check_rh_certificate,
+    _check_row_certificate,
     _diagonal,
     _move_last_perm,
+    _require_square,
     _SymbolAlgebra,
 )
 from .rings import DEFAULT_TOL, APPoly, GaussianRational, abs_bounds
@@ -149,28 +143,6 @@ def mean_motion(p: APPoly, grid: int = 512, tol: float = DEFAULT_TOL) -> MeanMot
     return MeanMotionResult(Fraction(int(nearest), b), "numeric-estimate")
 
 
-def _check_ap_matrix(M: RingMatrix, half: str, what: str):
-    for i in range(M.rows):
-        for j in range(M.cols):
-            p = M[i, j]
-            if p.is_zero:
-                continue
-            if half == "+" and p.min_freq() < 0:
-                raise HypothesisViolation(
-                    f"{what} entry ({i},{j}) has a negative frequency"
-                )
-            if half == "-" and p.max_freq() > 0:
-                raise HypothesisViolation(
-                    f"{what} entry ({i},{j}) has a positive frequency"
-                )
-
-
-def _require_ap_square(G: RingMatrix) -> int:
-    if G.ring is not AP or G.rows != G.cols:
-        raise ShapeMismatch("expected a square almost periodic polynomial matrix")
-    return G.rows
-
-
 def _constant_appoly(p) -> GaussianRational:
     p = APPoly.coerce(p)
     if p.is_zero:
@@ -241,14 +213,10 @@ def ap_factor_via_row(
 ):
     """Exponential-diagonal factorization from a right inverse of the
     nonnegative-frequency row complement; subject to the spectral gap."""
-    n = _require_ap_square(G)
+    n = _require_square(G, AP)
     perm, inv_perm, sign = _move_last_perm(n, omitted_row)
     Gp = G.permute_rows(perm)
-    psi = Gp.submatrix(range(n - 1), range(n))
-    _check_ap_matrix(psi, "+", "row complement")
-    _check_ap_matrix(phi_plus, "+", "right inverse")
-    if not (psi * phi_plus).is_identity():
-        raise HypothesisViolation("supplied matrix is not a right inverse of the complement")
+    _check_row_certificate(Gp.submatrix(range(n - 1), range(n)), phi_plus)
     if det_factorization is not None:
         gm_c, kappa, gp_c = _resolve_det_factorization(G.det(), det_factorization)
         gm_c = gm_c * sign
@@ -283,17 +251,8 @@ def ap_factor_via_rh(
     nonpositive-frequency, so the construction succeeds whenever the
     hypotheses hold: no spectral-gap refusal arises on this route.
     """
-    _require_ap_square(G)
-    _check_ap_matrix(phi_plus, "+", "phi_plus")
-    _check_ap_matrix(psi_plus, "+", "psi_plus")
-    _check_ap_matrix(phi_minus, "-", "phi_minus")
-    _check_ap_matrix(psi_minus, "-", "psi_minus")
-    if not G * phi_plus == phi_minus:
-        raise RHResidualNonzero("G * phi_plus differs from phi_minus")
-    if not (psi_plus * phi_plus).is_identity():
-        raise HypothesisViolation("psi_plus is not a left inverse of phi_plus")
-    if not (psi_minus * phi_minus).is_identity():
-        raise HypothesisViolation("psi_minus is not a left inverse of phi_minus")
+    _require_square(G, AP)
+    _check_rh_certificate(G, phi_plus, phi_minus, psi_plus, psi_minus)
     det = G.det()
     gm_c, kappa, gp_c = _resolve_det_factorization(det, det_factorization)
     if kappa < 0:
@@ -310,31 +269,17 @@ def ap_factor_via_rh(
     )
 
 
-def _ap_conjugate_transpose(G: RingMatrix) -> RingMatrix:
-    return G.map(lambda p: p.conj()).transpose()
-
-
 def ap_special(G: RingMatrix, mode: str, tol: float = DEFAULT_TOL) -> FredholmReport:
     """Invertibility verdict for unitary / complex-orthogonal almost periodic
     polynomial symbols with constant determinant, via the partial corona
     solver on the last row; Unresolved propagates as an honest unknown."""
-    n = _require_ap_square(G)
-    if mode == "unitary":
-        if not (G * _ap_conjugate_transpose(G)).is_identity():
-            raise NotUnitary("G * G^* is not the identity")
-        half = "-"
-        tag = "ap-unitary-constant-det"
-    elif mode == "orthogonal":
-        if not (G * G.transpose()).is_identity():
-            raise NotOrthogonal("G * G^T is not the identity")
-        half = "+"
-        tag = "ap-orthogonal-constant-det"
-    else:
-        raise ValueError("mode must be 'unitary' or 'orthogonal'")
-    det = G.det()
-    if not (det.is_monomial and det.terms[0][0] == 0):
-        raise HypothesisViolation("determinant is not constant")
-    _check_ap_matrix(G.submatrix(range(n - 1), range(n)), "+", "row complement")
+    n = _require_square(G, AP)
+    _unitary_or_orthogonal(G, mode)
+    half = "-" if mode == "unitary" else "+"
+    tag = f"ap-{mode}-constant-det"
+    _require_inside(
+        G.submatrix(range(n - 1), range(n)), "+", tol, HypothesisViolation, "row complement"
+    )
     last_row = [G[n - 1, j] for j in range(n)]
     try:
         verdict = corona_solve_ap(last_row, half, tol)

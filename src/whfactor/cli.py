@@ -15,13 +15,7 @@ import sys
 
 from . import jsonio
 from .ap import SplitUnavailable, ap_factor_via_rh, ap_factor_via_row, ap_special
-from .corona import (
-    CoronaCertificate,
-    corona_solve_ap,
-    corona_solve_hplus,
-    corona_solve_mplus,
-    make_rational_solver,
-)
+from .corona import CoronaCertificate, make_ap_solver, make_rational_solver
 from .errors import WHError
 from .exact_linalg import (
     complete,
@@ -38,6 +32,7 @@ from .fredholm import (
     special_unitary,
 )
 from .jsonio import DecodeError
+from .matrices import AP, RAT
 from .matrix_wh import (
     apply_inverse,
     factor_via_column,
@@ -90,13 +85,27 @@ def _int_opt(job, args, name: str, default, low: int, high: int | None = None) -
     """An integer flag or job field in low..high (no upper bound if high is
     None); anything else, a bool, float or string included, is a DecodeError
     naming the field and its range."""
-    value = _opt(job, args, name, default)
-    bound = f"at least {low}" if high is None else f"in {low}..{high}"
-    if type(value) is not int:
-        raise DecodeError(f"{name} must be an integer {bound}, got {value!r}")
-    if value < low or (high is not None and value > high):
-        raise DecodeError(f"{name} must be {bound}, got {value}")
-    return value
+    return jsonio._integer(_opt(job, args, name, default), name, low, high)
+
+
+def _tolerance(job, args) -> float:
+    """--tolerance, else the job's "tolerance", else WHFACTOR_TOL, else the
+    default; a DecodeError naming the source unless a positive finite number."""
+    if args.tolerance is not None:
+        name, value = "--tolerance", args.tolerance
+    elif "tolerance" in job:
+        name, value = "tolerance", job["tolerance"]
+    elif "WHFACTOR_TOL" in os.environ:
+        name, value = "WHFACTOR_TOL", os.environ["WHFACTOR_TOL"]
+        try:
+            value = float(value)
+        except ValueError:
+            pass
+    else:
+        return DEFAULT_TOL
+    if type(value) not in (int, float) or not 0 < value <= sys.float_info.max:
+        raise DecodeError(f"{name} must be a positive finite number, got {value!r}")
+    return float(value)
 
 
 def _scalar_for(job, G, tol):
@@ -131,7 +140,7 @@ def run_one_sided(job, args, tol, side: str):
         raise DecodeError("a Bezout certificate is required")
     ring = target.ring
     dec = jsonio._ENTRY_DECODERS[ring.name]
-    coeffs = [dec(c) for c in cert]
+    coeffs = [dec(c) for c in jsonio._expect(cert, list, "certificate")]
     if method == "corank1":
         inv = left_inverse_corank1(target, coeffs)
     else:
@@ -155,14 +164,11 @@ def run_corona(job, args, tol):
     if algebra not in ("H+", "H-", "M+", "M-", "AP+", "AP-"):
         raise DecodeError("algebra must be one of H+, H-, M+, M-, AP+, AP-")
     if algebra.startswith("AP"):
-        tup = [jsonio.decode_appoly(x) for x in job["tuple"]]
-        verdict = corona_solve_ap(tup, algebra[2], tol)
+        ring, solver = AP, make_ap_solver(algebra[2], tol)
     else:
-        tup = [jsonio.decode_rational(x) for x in job["tuple"]]
-        if algebra[0] == "H":
-            verdict = corona_solve_hplus(tup, algebra[1], tol)
-        else:
-            verdict = corona_solve_mplus(tup, algebra[1], tol)
+        ring, solver = RAT, make_rational_solver(algebra, tol)
+    dec = jsonio._ENTRY_DECODERS[ring.name]
+    verdict = solver([dec(x) for x in jsonio._expect(job["tuple"], list, "tuple")], ring)
     if not isinstance(verdict, CoronaCertificate):
         raise JobFailure({"verdict": "corona-failed", "detail": verdict})
     return verdict
@@ -237,7 +243,7 @@ def run_ap_factor(job, args, tol):
     mode = _opt(job, args, "mode", "row")
     detf = None
     if "det_factorization" in job:
-        d = job["det_factorization"]
+        d = jsonio._expect(job["det_factorization"], dict, "det_factorization")
         detf = (
             jsonio.decode_gaussian(d["gamma_minus"]),
             jsonio.decode_fraction(d["kappa"]),
@@ -263,7 +269,7 @@ def run_ap_factor(job, args, tol):
 def run_report(job, args, tol):
     kind = job.get("kind", "indices")
     if kind == "indices":
-        return report_from_indices([int(k) for k in job["indices"]])
+        return report_from_indices(jsonio._indices(job["indices"], "indices"))
     if kind in ("unitary", "orthogonal"):
         G = jsonio.decode_matrix(job["matrix"], "rational")
         if kind == "unitary":
@@ -285,14 +291,11 @@ def run_report(job, args, tol):
         for key in ("phi_plus", "psi_minus"):
             if key in job:
                 kwargs[key] = jsonio.decode_matrix(job[key], "rational")
-        if "phi_pair" in job:
-            kwargs["phi_pair"] = tuple(
-                jsonio.decode_matrix(m, "rational") for m in job["phi_pair"]
-            )
-        if "psi_pair" in job:
-            kwargs["psi_pair"] = tuple(
-                jsonio.decode_matrix(m, "rational") for m in job["psi_pair"]
-            )
+        for key in ("phi_pair", "psi_pair"):
+            if key in job:
+                kwargs[key] = tuple(
+                    jsonio.decode_matrix(m, "rational") for m in jsonio._expect(job[key], list, key)
+                )
         return classify(G, structure, level, **kwargs)
     raise DecodeError(f"unknown report kind {kind!r}")
 
@@ -308,7 +311,7 @@ def run_verify(job, args, tol):
 
 def run_apply_inverse(job, args, tol):
     fact = jsonio.decode_wh_factorization(job["factorization"])
-    vec = [jsonio.decode_rational(x) for x in job["vector"]]
+    vec = [jsonio.decode_rational(x) for x in jsonio._expect(job["vector"], list, "vector")]
     result = apply_inverse(fact, vec, tol)
     G = fact.reconstruct()
     roundtrip = toeplitz_apply(G, result, tol)
@@ -360,12 +363,10 @@ def main(argv=None) -> int:
             job = json.load(fh)
         if not isinstance(job, dict):
             raise DecodeError("job file must hold a JSON object")
+        tol = _tolerance(job, args)
     except (OSError, json.JSONDecodeError, DecodeError) as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 2
-    tol = args.tolerance
-    if tol is None:
-        tol = float(job.get("tolerance", os.environ.get("WHFACTOR_TOL", DEFAULT_TOL)))
     runner = _RUNNERS[args.command]
     try:
         result = runner(job, args, tol)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import MembershipViolation, RootClassificationAmbiguous
+from .matrices import _require_inside
 from .rings import (
     DEFAULT_TOL,
     APPoly,
@@ -31,6 +32,7 @@ from .rings import (
     mobius_from_disk,
     mobius_to_disk,
 )
+from .scalar_wh import wh_factor_scalar
 
 INFINITY = "infinity"
 
@@ -79,14 +81,6 @@ class Unresolved:
     notes: list = field(default_factory=list)
 
 
-def _check_half_membership(h, half: str, tol: float):
-    for j, f in enumerate(h):
-        if not RationalFunction.coerce(f).in_half_algebra(half, tol):
-            raise MembershipViolation(
-                f"entry {j} is not analytic and bounded in the {half} half-plane"
-            )
-
-
 def _disk_common_root(d, tol: float):
     """First root of d in the closed unit disk, or None.  Prefers circle
     points (they witness extended-real-line zeros)."""
@@ -131,7 +125,7 @@ def corona_solve_hplus(h, half: str = "+", tol: float = DEFAULT_TOL):
     h = [RationalFunction.coerce(f) for f in h]
     if not h:
         raise MembershipViolation("empty tuple")
-    _check_half_membership(h, half, tol)
+    _require_inside(h, half, tol, MembershipViolation, "tuple")
     if all(f.is_zero for f in h):
         return CoronaFailure(None, "zero tuple vanishes identically")
     if half == "-":
@@ -172,12 +166,6 @@ def corona_solve_hplus(h, half: str = "+", tol: float = DEFAULT_TOL):
     return CoronaCertificate(solution, "H+")
 
 
-def _check_bounded(h):
-    for j, f in enumerate(h):
-        if not f.bounded_on_line():
-            raise MembershipViolation(f"entry {j} is not bounded on the real line")
-
-
 def _real_common_zero(h, tol: float):
     """Exact common zero of the tuple on the extended real line, if any."""
     nonzero = [f for f in h if not f.is_zero]
@@ -208,7 +196,7 @@ def corona_solve_mplus(h, half: str = "+", tol: float = DEFAULT_TOL):
     h = [RationalFunction.coerce(f) for f in h]
     if not h:
         raise MembershipViolation("empty tuple")
-    _check_bounded(h)
+    _require_inside(h, None, tol, MembershipViolation, "tuple")
     if all(f.is_zero for f in h):
         return CoronaFailure(None, "zero tuple vanishes identically")
     witness = _real_common_zero(h, tol)
@@ -262,8 +250,6 @@ def corona_solve_mplus(h, half: str = "+", tol: float = DEFAULT_TOL):
         total = total + g * f
     if not total == RationalFunction(1):
         raise AssertionError("Bezout identity failed to verify")
-    from .scalar_wh import wh_factor_scalar
-
     split = wh_factor_scalar(s, tol)
     return CoronaCertificate(
         solution,
@@ -272,16 +258,6 @@ def corona_solve_mplus(h, half: str = "+", tol: float = DEFAULT_TOL):
         hct_tuple=reduced,
         gr_split=(split.gamma_minus, split.k, split.gamma_plus),
     )
-
-
-def _ap_check_membership(h, half: str):
-    for j, p in enumerate(h):
-        if p.is_zero:
-            continue
-        if half == "+" and p.min_freq() < 0:
-            raise MembershipViolation(f"entry {j} has a negative frequency")
-        if half == "-" and p.max_freq() > 0:
-            raise MembershipViolation(f"entry {j} has a positive frequency")
 
 
 def _dominant_at_zero(p: APPoly):
@@ -317,7 +293,7 @@ def corona_solve_ap(
     h = [APPoly.coerce(p) for p in h]
     if not h:
         raise MembershipViolation("empty tuple")
-    _ap_check_membership(h, half)
+    _require_inside(h, half, tol, MembershipViolation, "tuple")
     nonzero = [p for p in h if not p.is_zero]
     if not nonzero:
         return CoronaFailure(None, "zero tuple vanishes identically")

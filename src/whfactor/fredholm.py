@@ -22,7 +22,8 @@ from .errors import (
     NotUnitary,
     ShapeViolation,
 )
-from .matrices import MIXED, RAT, RingMatrix
+from .matrices import AP, MIXED, RAT, RingMatrix, _outside, _require_inside
+from .matrix_wh import _check_column_certificate, _check_rh_certificate, _check_row_certificate
 from .rings import DEFAULT_TOL, GaussianRational, RationalFunction
 from .scalar_wh import P_NOTE, winding_exact
 
@@ -117,20 +118,6 @@ def _check_rat_square(G: RingMatrix) -> int:
     return G.rows
 
 
-def _check_matrix_membership(M: RingMatrix, level: str, half: str, tol: float, what: str):
-    for i in range(M.rows):
-        for j in range(M.cols):
-            entry = M[i, j]
-            if level == "H":
-                ok = entry.in_half_algebra(half, tol)
-            else:
-                ok = entry.bounded_on_line()
-            if not ok:
-                raise CertificateInvalid(
-                    f"{what} entry ({i},{j}) fails the {level}-level membership"
-                )
-
-
 def classify(
     G: RingMatrix,
     structure: str,
@@ -151,48 +138,38 @@ def classify(
     alternative inherited), 'M' for bounded-line certificates (near
     equivalence only).
     """
-    n = _check_rat_square(G)
+    _check_rat_square(G)
     if level not in ("H", "M"):
         raise ValueError("level must be 'H' or 'M'")
-    for i in range(n):
-        for j in range(n):
-            if not G[i, j].bounded_on_line():
-                raise CertificateInvalid(f"symbol entry ({i},{j}) is unbounded on the line")
+    _require_inside(G, None, tol, CertificateInvalid, "symbol")
 
-    if structure == "row":
-        if omitted is None or phi_plus is None:
-            raise CertificateInvalid("row structure needs the omitted index and a right inverse")
-        psi = G.delete_row(omitted)
-        _check_matrix_membership(psi, level, "+", tol, "row complement")
-        _check_matrix_membership(phi_plus, level, "+", tol, "right inverse")
-        if not (psi * phi_plus).is_identity():
-            raise CertificateInvalid("claimed right inverse fails its identity")
-        tag = f"row-submatrix/{'strict' if level == 'H' else 'near'}"
-    elif structure == "column":
-        if omitted is None or psi_minus is None:
-            raise CertificateInvalid("column structure needs the omitted index and a left inverse")
-        phi = G.delete_col(omitted)
-        _check_matrix_membership(phi, level, "-", tol, "column complement")
-        _check_matrix_membership(psi_minus, level, "-", tol, "left inverse")
-        if not (psi_minus * phi).is_identity():
-            raise CertificateInvalid("claimed left inverse fails its identity")
-        tag = f"column-submatrix/{'strict' if level == 'H' else 'near'}"
-    elif structure == "rh":
-        if phi_pair is None or psi_pair is None:
-            raise CertificateInvalid("rh structure needs both solution pairs")
-        phi_p, phi_m = phi_pair
-        psi_p, psi_m = psi_pair
-        _check_matrix_membership(phi_p, level, "+", tol, "phi_plus")
-        _check_matrix_membership(psi_p, level, "+", tol, "psi_plus")
-        _check_matrix_membership(phi_m, level, "-", tol, "phi_minus")
-        _check_matrix_membership(psi_m, level, "-", tol, "psi_minus")
-        if not G * phi_p == phi_m:
-            raise CertificateInvalid("boundary relation G*phi_plus = phi_minus fails")
-        if not (psi_p * phi_p).is_identity() or not (psi_m * phi_m).is_identity():
-            raise CertificateInvalid("a claimed left inverse fails its identity")
-        tag = f"boundary-relation-pair/{'strict' if level == 'H' else 'near'}"
-    else:
-        raise ValueError("structure must be 'row', 'column' or 'rh'")
+    up, down = ("+", "-") if level == "H" else (None, None)
+    try:
+        if structure == "row":
+            if omitted is None or phi_plus is None:
+                raise CertificateInvalid(
+                    "row structure needs the omitted index and a right inverse"
+                )
+            _check_row_certificate(G.delete_row(omitted), phi_plus, tol, up)
+            tag = "row-submatrix"
+        elif structure == "column":
+            if omitted is None or psi_minus is None:
+                raise CertificateInvalid(
+                    "column structure needs the omitted index and a left inverse"
+                )
+            _check_column_certificate(G.delete_col(omitted), psi_minus, tol, down)
+            tag = "column-submatrix"
+        elif structure == "rh":
+            if phi_pair is None or psi_pair is None:
+                raise CertificateInvalid("rh structure needs both solution pairs")
+            (phi_p, phi_m), (psi_p, psi_m) = phi_pair, psi_pair
+            _check_rh_certificate(G, phi_p, phi_m, psi_p, psi_m, tol, up, down)
+            tag = "boundary-relation-pair"
+        else:
+            raise ValueError("structure must be 'row', 'column' or 'rh'")
+    except HypothesisViolation as exc:
+        raise CertificateInvalid(str(exc)) from None
+    tag += "/strict" if level == "H" else "/near"
 
     det = G.det()
     scal = scalar_symbol_report(det, tol)
@@ -219,10 +196,6 @@ def classify(
     return report
 
 
-def _conjugate_transpose(G: RingMatrix) -> RingMatrix:
-    return G.map(lambda f: f.conj_coeffs()).transpose()
-
-
 def _diagonal_indices(G: RingMatrix, tol: float):
     n = G.rows
     for i in range(n):
@@ -238,11 +211,30 @@ def _diagonal_indices(G: RingMatrix, tol: float):
     return indices
 
 
-def _constant_det(G: RingMatrix) -> GaussianRational:
+def _unitary_or_orthogonal(G: RingMatrix, mode: str) -> GaussianRational:
+    """Check G * G^* == I (mode 'unitary') or G * G^T == I ('orthogonal') and
+    return det G, which must be constant; rational and almost periodic
+    symbols alike (ap.ap_special shares it)."""
+    if mode == "unitary":
+        if not (G * G.map(lambda f: f.conj()).transpose()).is_identity():
+            raise NotUnitary("G * G^* is not the identity on the line")
+    elif mode == "orthogonal":
+        if not (G * G.transpose()).is_identity():
+            raise NotOrthogonal("G * G^T is not the identity")
+    else:
+        raise ValueError("mode must be 'unitary' or 'orthogonal'")
     det = G.det()
-    if not det.is_constant:
-        raise HypothesisViolation("determinant is not constant")
-    return det.constant_value()
+    if G.ring is AP:
+        if det.support == (0,):
+            return det.coeff(0)
+    elif det.is_constant:
+        return det.constant_value()
+    raise HypothesisViolation("determinant is not constant")
+
+
+def _upper_rows_analytic(G: RingMatrix, tol: float) -> bool:
+    """Every row but the last in the upper half-plane algebra."""
+    return next(_outside(G.submatrix(range(G.rows - 1), range(G.cols)), "+", tol), None) is None
 
 
 def special_unitary(
@@ -251,15 +243,10 @@ def special_unitary(
     """Fredholm verdict for a symbol unitary on the line with constant
     determinant, driven by a corona check on its last row."""
     n = _check_rat_square(G)
-    if not (G * _conjugate_transpose(G)).is_identity():
-        raise NotUnitary("G * G^* is not the identity on the line")
-    det_c = _constant_det(G)
+    det_c = _unitary_or_orthogonal(G, "unitary")
     if det_constant is not None and not det_c == GaussianRational.coerce(det_constant):
         raise HypothesisViolation("determinant differs from the stated constant")
-    for i in range(n):
-        for j in range(n):
-            if not G[i, j].bounded_on_line():
-                raise HypothesisViolation(f"entry ({i},{j}) is unbounded on the line")
+    _require_inside(G, None, tol, HypothesisViolation, "symbol")
     last_row = [G[n - 1, j] for j in range(n)]
     verdict = corona_solve_mplus(last_row, "-", tol)
     if not isinstance(verdict, CoronaCertificate):
@@ -273,10 +260,7 @@ def special_unitary(
         justification="unitary-constant-det",
         notes=["last-row corona certificate verified over the bounded lower algebra"],
     )
-    strict = all(
-        G[i, j].in_half_algebra("+", tol) for i in range(n - 1) for j in range(n)
-    )
-    if strict:
+    if _upper_rows_analytic(G, tol):
         inner = corona_solve_hplus(last_row, "-", tol)
         if isinstance(inner, CoronaCertificate):
             report.justification = "unitary-constant-det/strict"
@@ -302,13 +286,8 @@ def special_orthogonal(G: RingMatrix, tol: float = DEFAULT_TOL) -> FredholmRepor
     """Fredholm verdict for a complex-orthogonal symbol (G G^T = I) with
     constant determinant, via a corona check on its last row."""
     n = _check_rat_square(G)
-    if not (G * G.transpose()).is_identity():
-        raise NotOrthogonal("G * G^T is not the identity")
-    _constant_det(G)
-    for i in range(n):
-        for j in range(n):
-            if not G[i, j].bounded_on_line():
-                raise HypothesisViolation(f"entry ({i},{j}) is unbounded on the line")
+    _unitary_or_orthogonal(G, "orthogonal")
+    _require_inside(G, None, tol, HypothesisViolation, "symbol")
     last_row = [G[n - 1, j] for j in range(n)]
     verdict = corona_solve_mplus(last_row, "+", tol)
     if not isinstance(verdict, CoronaCertificate):
@@ -326,10 +305,7 @@ def special_orthogonal(G: RingMatrix, tol: float = DEFAULT_TOL) -> FredholmRepor
             "index 0 from the winding of the constant determinant (continuous symbol)",
         ],
     )
-    strict = all(
-        G[i, j].in_half_algebra("+", tol) for i in range(n - 1) for j in range(n)
-    )
-    if strict:
+    if _upper_rows_analytic(G, tol):
         inner = corona_solve_hplus(last_row, "+", tol)
         if isinstance(inner, CoronaCertificate):
             report.justification = "orthogonal-constant-det/strict"
@@ -371,11 +347,10 @@ def continuous_except_line(G: RingMatrix, tol: float = DEFAULT_TOL) -> FredholmR
         raise ShapeViolation(
             "more than one row and more than one column contain exponential terms"
         )
-    for i, j in cells:
-        if not G[i, j].rational_part().bounded_on_line():
-            raise ShapeViolation(
-                f"entry ({i},{j}) is not continuous on the extended line"
-            )
+    bad = next(_outside((G[i, j].rational_part() for i, j in cells), None, tol), None)
+    if bad is not None:
+        i, j = cells[bad]
+        raise ShapeViolation(f"entry ({i},{j}) is not continuous on the extended line")
 
     det = G.det()
     report = FredholmReport(

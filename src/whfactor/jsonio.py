@@ -176,6 +176,30 @@ def encode_mapping(d: dict) -> dict:
 # ---------------------------------------------------------------- decoding
 
 
+def _integer(v, name: str, low: int | None = None, high: int | None = None) -> int:
+    """A JSON integer (not a bool) in low..high, either end open when None;
+    anything else is a DecodeError naming the field and its range."""
+    if low is None:
+        bound = ""
+    elif high is None:
+        bound = f" at least {low}"
+    else:
+        bound = f" in {low}..{high}"
+    if type(v) is not int:
+        raise DecodeError(f"{name} must be an integer{bound}, got {v!r}")
+    if (low is not None and v < low) or (high is not None and v > high):
+        raise DecodeError(f"{name} must be{bound}, got {v}")
+    return v
+
+
+def _expect(v, kind: type, name: str):
+    """v itself when it is a JSON array (kind list) or object (kind dict)."""
+    if not isinstance(v, kind):
+        shape = "an array" if kind is list else "an object"
+        raise DecodeError(f"{name} must be {shape}, got {v!r}")
+    return v
+
+
 def decode_fraction(v) -> Fraction:
     if isinstance(v, bool):
         raise DecodeError("expected a rational, got a boolean")
@@ -222,15 +246,17 @@ def decode_factored(v) -> FactoredRational:
     if not isinstance(v, dict) or "lead" not in v:
         raise DecodeError("factored literal needs 'lead' and 'factors'")
     factors = []
-    for item in v.get("factors", []):
-        factors.append((decode_gaussian(item["root"]), int(item["mult"])))
+    for item in _expect(v.get("factors", []), list, "factors"):
+        item = _expect(item, dict, "factor")
+        factors.append((decode_gaussian(item["root"]), _integer(item["mult"], "mult")))
     return FactoredRational(decode_gaussian(v["lead"]), factors)
 
 
 def decode_appoly(v) -> APPoly:
     if isinstance(v, list):
+        terms = [_expect(t, dict, "almost periodic term") for t in v]
         return APPoly(
-            [(decode_fraction(t["freq"]), decode_gaussian(t["coeff"])) for t in v]
+            [(decode_fraction(t["freq"]), decode_gaussian(t["coeff"])) for t in terms]
         )
     return APPoly.coerce(decode_gaussian(v))
 
@@ -274,17 +300,24 @@ def decode_symbol(v):
 
 
 def decode_scalar_wh(v) -> ScalarWH:
+    v = _expect(v, dict, "scalar")
     return ScalarWH(
         decode_factored(v["gamma_minus"]),
-        int(v["k"]),
+        _integer(v["k"], "k"),
         decode_factored(v["gamma_plus"]),
     )
 
 
+def _indices(v, name: str) -> tuple[int, ...]:
+    """An array of integer (partial) indices."""
+    return tuple(_integer(k, name) for k in _expect(v, list, name))
+
+
 def decode_wh_factorization(v) -> WHFactorization:
+    v = _expect(v, dict, "factorization")
     return WHFactorization(
         g_minus=decode_matrix(v["g_minus"], "rational"),
-        partial_indices=tuple(int(k) for k in v["partial_indices"]),
+        partial_indices=_indices(v["partial_indices"], "partial_indices"),
         g_plus=decode_matrix(v["g_plus"], "rational"),
         bounded=bool(v.get("bounded", True)),
     )

@@ -4,6 +4,8 @@ Determinants use subset dynamic programming (Laplace expansion with shared
 minors), which is exact in any commutative ring and adequate at the small
 sizes this library targets (n up to ~8).  The same subset table serves
 adjugates: one table per deleted column yields a whole row of cofactors.
+One entry scan answers every membership question the factorization routes,
+the corona solvers and the Fredholm reports ask of a matrix or a tuple.
 """
 
 from __future__ import annotations
@@ -284,3 +286,30 @@ def minors_by_subset(m: RingMatrix, size: int):
             nxt[subset] = acc
         table = nxt
     return table
+
+
+def _outside(entries, half, tol):
+    """Positions of the entries outside the algebra, lazily in row-major
+    order: the half-plane algebra of half ('+' or '-'; rational and almost
+    periodic elements both answer in_half_algebra), or with half None the
+    functions bounded on the real line.  Zero lies in every algebra and is
+    not asked.  entries is a RingMatrix, with positions (i, j), or a
+    sequence, with positions j."""
+    if isinstance(entries, RingMatrix):
+        cells = (((i, j), x) for i, row in enumerate(entries.entries) for j, x in enumerate(row))
+    else:
+        cells = enumerate(entries)
+    for pos, x in cells:
+        if x and not (x.bounded_on_line() if half is None else x.in_half_algebra(half, tol)):
+            yield pos
+
+
+def _require_inside(entries, half, tol, error, what: str) -> None:
+    """Raise error naming the first entry of what outside the algebra (see _outside)."""
+    pos = next(_outside(entries, half, tol), None)
+    if pos is None:
+        return
+    at = f"({pos[0]},{pos[1]})" if isinstance(pos, tuple) else pos
+    if half is None:
+        raise error(f"{what} entry {at} is not bounded on the real line")
+    raise error(f"{what} entry {at} is outside the {half} half-plane algebra")

@@ -33,7 +33,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .exact_linalg import complete
-from .matrices import RAT, Ring, RingMatrix
+from .matrices import RAT, Ring, RingMatrix, _outside, _require_inside
 from .rings import DEFAULT_TOL, RationalFunction
 from .scalar_wh import P_NOTE, ScalarWH, pole_split, r_function, riesz_project
 
@@ -113,30 +113,51 @@ def _rational_split_rh(u, tol):
 _RATIONAL = _SymbolAlgebra(RAT, _rational_split_row, _rational_split_rh, _r_power, WHFactorization)
 
 
-def _require_rat_square(G: RingMatrix) -> int:
-    if G.ring is not RAT:
-        raise ShapeMismatch("symbol must be a rational-function matrix")
-    if G.rows != G.cols:
-        raise ShapeMismatch("symbol must be square")
+def _require_square(G: RingMatrix, ring: Ring) -> int:
+    if G.ring is not ring or G.rows != G.cols:
+        raise ShapeMismatch(f"symbol must be a square {ring.name} matrix")
     return G.rows
 
 
-def _check_bounded_matrix(G: RingMatrix):
-    for i in range(G.rows):
-        for j in range(G.cols):
-            if not G[i, j].bounded_on_line():
-                raise HypothesisViolation(
-                    f"symbol entry ({i},{j}) is not bounded on the real line"
-                )
+# Each certificate shape is checked here once, for the rational and almost
+# periodic routes and for fredholm.classify.  up/down name the algebras the
+# halves must lie in: '+'/'-' for the half-plane algebras (H+/H- or AP+/AP-),
+# None for functions bounded on the line (classify's M level).
 
 
-def _check_half_matrix(M: RingMatrix, half: str, tol: float, what: str):
-    for i in range(M.rows):
-        for j in range(M.cols):
-            if not M[i, j].in_half_algebra(half, tol):
-                raise HypothesisViolation(
-                    f"{what} entry ({i},{j}) is outside the {half} half-plane algebra"
-                )
+def _check_row_certificate(psi, phi_plus, tol=DEFAULT_TOL, up="+"):
+    """Row complement psi and its right inverse phi_plus, both in the upper
+    algebra, with psi * phi_plus == I."""
+    _require_inside(psi, up, tol, HypothesisViolation, "row complement")
+    _require_inside(phi_plus, up, tol, HypothesisViolation, "right inverse")
+    if not (psi * phi_plus).is_identity():
+        raise HypothesisViolation("supplied matrix is not a right inverse of the row complement")
+
+
+def _check_column_certificate(phi, psi_minus, tol=DEFAULT_TOL, down="-"):
+    """Column complement phi and its left inverse psi_minus, both in the
+    lower algebra, with psi_minus * phi == I."""
+    _require_inside(phi, down, tol, HypothesisViolation, "column complement")
+    _require_inside(psi_minus, down, tol, HypothesisViolation, "left inverse")
+    if not (psi_minus * phi).is_identity():
+        raise HypothesisViolation("supplied matrix is not a left inverse of the column complement")
+
+
+def _check_rh_certificate(G, phi_plus, phi_minus, psi_plus, psi_minus, tol=DEFAULT_TOL,
+                          up="+", down="-"):
+    """Boundary-relation pair: phi_plus, psi_plus in the upper algebra,
+    phi_minus, psi_minus in the lower one, G * phi_plus == phi_minus, and
+    psi_plus, psi_minus left inverses of phi_plus, phi_minus."""
+    _require_inside(phi_plus, up, tol, HypothesisViolation, "phi_plus")
+    _require_inside(psi_plus, up, tol, HypothesisViolation, "psi_plus")
+    _require_inside(phi_minus, down, tol, HypothesisViolation, "phi_minus")
+    _require_inside(psi_minus, down, tol, HypothesisViolation, "psi_minus")
+    if not G * phi_plus == phi_minus:
+        raise RHResidualNonzero("G * phi_plus differs from phi_minus")
+    if not (psi_plus * phi_plus).is_identity():
+        raise HypothesisViolation("psi_plus is not a left inverse of phi_plus")
+    if not (psi_minus * phi_minus).is_identity():
+        raise HypothesisViolation("psi_minus is not a left inverse of phi_minus")
 
 
 def _check_scalar_matches(scalar: ScalarWH, det: RationalFunction):
@@ -290,8 +311,8 @@ def factor_via_row(
 ) -> WHFactorization:
     """Factor G from a right inverse of the submatrix left by omitting one
     row, all analytic in the upper half-plane; needs total index k <= 0."""
-    n = _require_rat_square(G)
-    _check_bounded_matrix(G)
+    n = _require_square(G, RAT)
+    _require_inside(G, None, tol, HypothesisViolation, "symbol")
     if scalar.k > 0:
         raise HypothesisViolation("row route requires a non-positive index k")
     perm, inv_perm, sign = _move_last_perm(n, omitted_row)
@@ -300,11 +321,7 @@ def factor_via_row(
     _check_scalar_matches(scalar, G.det())
     scalar = _scale_gamma_minus(scalar, sign)
 
-    psi = Gp.submatrix(range(n - 1), range(n))
-    _check_half_matrix(psi, "+", tol, "submatrix")
-    _check_half_matrix(phi_plus, "+", tol, "right inverse")
-    if not (psi * phi_plus).is_identity():
-        raise HypothesisViolation("supplied matrix is not a right inverse of the submatrix")
+    _check_row_certificate(Gp.submatrix(range(n - 1), range(n)), phi_plus, tol)
 
     return _assemble_row(
         _RATIONAL, G, Gp, inv_perm, phi_plus,
@@ -328,8 +345,8 @@ def factor_via_column(
 ) -> WHFactorization:
     """Dual route: a left inverse of the submatrix left by omitting one
     column, all analytic in the lower half-plane; needs total index k >= 0."""
-    n = _require_rat_square(G)
-    _check_bounded_matrix(G)
+    n = _require_square(G, RAT)
+    _require_inside(G, None, tol, HypothesisViolation, "symbol")
     if scalar.k < 0:
         raise HypothesisViolation("column route requires a non-negative index k")
     perm, inv_perm, sign = _move_last_perm(n, omitted_col)
@@ -338,10 +355,7 @@ def factor_via_column(
     scalar = _scale_gamma_minus(scalar, sign)
 
     phi = Gp.submatrix(range(n), range(n - 1))
-    _check_half_matrix(phi, "-", tol, "submatrix")
-    _check_half_matrix(psi_minus, "-", tol, "left inverse")
-    if not (psi_minus * phi).is_identity():
-        raise HypothesisViolation("supplied matrix is not a left inverse of the submatrix")
+    _check_column_certificate(phi, psi_minus, tol)
 
     comp = complete(phi, psi_minus)
     gm = scalar.gamma_minus.expand()
@@ -375,22 +389,13 @@ def factor_via_rh(
     """Factor G from a corank-one pair of analytic solutions of the boundary
     relation G*phi_plus = phi_minus, with left inverses on both sides and
     total index k >= 0."""
-    _require_rat_square(G)
-    _check_bounded_matrix(G)
+    _require_square(G, RAT)
+    _require_inside(G, None, tol, HypothesisViolation, "symbol")
     if scalar.k < 0:
         raise HypothesisViolation("boundary-relation route requires k >= 0")
     det_g = G.det()
     _check_scalar_matches(scalar, det_g)
-    _check_half_matrix(phi_plus, "+", tol, "phi_plus")
-    _check_half_matrix(psi_plus, "+", tol, "psi_plus")
-    _check_half_matrix(phi_minus, "-", tol, "phi_minus")
-    _check_half_matrix(psi_minus, "-", tol, "psi_minus")
-    if not G * phi_plus == phi_minus:
-        raise RHResidualNonzero("G * phi_plus differs from phi_minus")
-    if not (psi_plus * phi_plus).is_identity():
-        raise HypothesisViolation("psi_plus is not a left inverse of phi_plus")
-    if not (psi_minus * phi_minus).is_identity():
-        raise HypothesisViolation("psi_minus is not a left inverse of phi_minus")
+    _check_rh_certificate(G, phi_plus, phi_minus, psi_plus, psi_minus, tol)
 
     return _assemble_rh(
         _RATIONAL, G, det_g, phi_plus, phi_minus, psi_plus, psi_minus,
@@ -407,11 +412,7 @@ def factor_via_rh(
 
 
 def _entry_report(M: RingMatrix, half: str, tol: float, label: str):
-    bad = []
-    for i in range(M.rows):
-        for j in range(M.cols):
-            if not M[i, j].in_half_algebra(half, tol):
-                bad.append((i, j))
+    bad = list(_outside(M, half, tol))
     ok = not bad
     detail = "all entries analytic and bounded" if ok else f"violations at {bad}"
     return (label, ok, detail)
@@ -471,14 +472,10 @@ def verify_factorization(
 
 
 def _check_hardy_plus_vector(phi, tol: float):
+    _require_inside(phi, "+", tol, MembershipViolation, "vector")
     for j, f in enumerate(phi):
-        f = RationalFunction.coerce(f)
-        if f.is_zero:
-            continue
-        if not f.in_half_algebra("+", tol):
-            raise MembershipViolation(f"entry {j} has a pole outside the lower half-plane")
-        if f.num.degree >= f.den.degree:
-            raise MembershipViolation(f"entry {j} does not vanish at infinity")
+        if not f.is_zero and f.num.degree >= f.den.degree:
+            raise MembershipViolation(f"vector entry {j} does not vanish at infinity")
 
 
 def apply_inverse(F: WHFactorization, phi, tol: float = DEFAULT_TOL):
@@ -505,7 +502,7 @@ def apply_inverse(F: WHFactorization, phi, tol: float = DEFAULT_TOL):
 def toeplitz_apply(G: RingMatrix, phi, tol: float = DEFAULT_TOL):
     """P+ (G * phi) for strictly proper analytic vectors: the Toeplitz action
     used to round-trip apply_inverse."""
-    _require_rat_square(G)
+    _require_square(G, RAT)
     col = RingMatrix(RAT, [[RationalFunction.coerce(f)] for f in phi])
     prod = G * col
     out = []

@@ -716,7 +716,8 @@ class RationalFunction:
             self.den * self.den,
         )
 
-    def conj_coeffs(self) -> "RationalFunction":
+    def conj(self) -> "RationalFunction":
+        """Pointwise conjugate on the real line: conjugate both coefficient lists."""
         return RationalFunction(self.num.conj_coeffs(), self.den.conj_coeffs())
 
     def reflect(self) -> "RationalFunction":
@@ -1174,6 +1175,16 @@ class APPoly:
 
     def __bool__(self):
         return not self.is_zero
+
+    def in_half_algebra(self, half: str, tol: float = DEFAULT_TOL) -> bool:
+        """Member of AP+ (half '+': support >= 0) or AP- (support <= 0).  tol
+        is unused: it is there so that rational and almost periodic entries
+        answer the same call."""
+        if self.is_zero:
+            return True
+        if half == "+":
+            return self.terms[0][0] >= 0
+        return self.terms[-1][0] <= 0
 
     def conj(self) -> "APPoly":
         """Pointwise conjugate on the real line: conjugate coefficients, negate frequencies."""

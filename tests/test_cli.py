@@ -167,6 +167,8 @@ def test_winding_coarse_grid_is_a_validation_error(grid, capsys):
 
 
 CLASSIFY = {"kind": "classify", "matrix": [[1, 0], [0, 1]], "structure": "row", "level": "H"}
+VERIFY = json.loads((DATA / "verify.json").read_text())["factorization"]
+IMAG_ROOT = {"root": {"im": [1, 1]}}
 
 
 @pytest.mark.parametrize(
@@ -191,6 +193,44 @@ CLASSIFY = {"kind": "classify", "matrix": [[1, 0], [0, 1]], "structure": "row", 
             "denominator is identically zero",
         ),
         ("project", "project.json", {"symbol": {"num": [1], "den": [0, 0]}}, [], "identically zero"),
+        ("winding", "winding.json", {"tolerance": "abc"}, [], "tolerance must be a positive finite"),
+        ("winding", "winding.json", {"tolerance": True}, [], "tolerance must be a positive finite"),
+        ("winding", "winding.json", {"tolerance": -1e-9}, [], "tolerance must be a positive finite"),
+        ("winding", "winding.json", {}, ["--tolerance", "nan"], "--tolerance must be a positive"),
+        (
+            "wh-scalar", None, {"symbol": {"lead": 1, "factors": [{**IMAG_ROOT, "mult": "2"}]}}, [],
+            "mult must be an integer",
+        ),
+        (
+            "wh-matrix", "wh_matrix_row.json",
+            {"scalar": {"gamma_minus": {"lead": 1}, "k": 1.5, "gamma_plus": {"lead": 1}}}, [],
+            "k must be an integer",
+        ),
+        (
+            "verify", "verify.json", {"factorization": {**VERIFY, "partial_indices": [0.5, 0]}}, [],
+            "partial_indices must be an integer",
+        ),
+        ("report", "report_indices.json", {"indices": [1.5, 0]}, [], "indices must be an integer"),
+        ("report", "report_indices.json", {"indices": 3}, [], "indices must be an array"),
+        ("corona", "corona_h.json", {"tuple": 5}, [], "tuple must be an array"),
+        ("corona", "corona_ap.json", {"tuple": [[5]]}, [], "term must be an object"),
+        (
+            "wh-scalar", None, {"symbol": {"lead": 1, "factors": [5]}}, [],
+            "factor must be an object",
+        ),
+        (
+            "ap-factor", "ap_row.json", {"det_factorization": 5}, [],
+            "det_factorization must be an object",
+        ),
+        ("apply-inverse", "apply_inverse.json", {"vector": 5}, [], "vector must be an array"),
+        (
+            "left-inverse", "left_inverse.json", {"certificate": 5}, [],
+            "certificate must be an array",
+        ),
+        (
+            "report", None, {**CLASSIFY, "structure": "rh", "phi_pair": 5, "psi_pair": 5}, [],
+            "phi_pair must be an array",
+        ),
     ],
     ids=[
         "winding-grid-abc",
@@ -208,6 +248,22 @@ CLASSIFY = {"kind": "classify", "matrix": [[1, 0], [0, 1]], "structure": "row", 
         "winding-grid-fractional",
         "wh-matrix-zero-den-entry",
         "project-zero-den-symbol",
+        "tolerance-field-string",
+        "tolerance-field-bool",
+        "tolerance-field-negative",
+        "tolerance-flag-nan",
+        "wh-scalar-mult-string",
+        "wh-matrix-scalar-k-fractional",
+        "verify-partial-indices-fractional",
+        "report-indices-fractional",
+        "report-indices-scalar",
+        "corona-tuple-scalar",
+        "corona-ap-term-scalar",
+        "wh-scalar-factor-item-scalar",
+        "ap-factor-det-factorization-scalar",
+        "apply-inverse-vector-scalar",
+        "left-inverse-certificate-scalar",
+        "report-classify-phi-pair-scalar",
     ],
 )
 def test_malformed_field_is_a_validation_error(
@@ -222,6 +278,16 @@ def test_malformed_field_is_a_validation_error(
     assert code == 2, captured.err
     assert captured.out == ""
     assert expected in captured.err
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "inf", "-1"])
+def test_malformed_tolerance_variable_is_a_validation_error(value, monkeypatch, capsys):
+    monkeypatch.setenv("WHFACTOR_TOL", value)
+    code = cli.main(["winding", "--input", str(DATA / "winding.json")])
+    captured = capsys.readouterr()
+    assert code == 2, captured.err
+    assert captured.out == ""
+    assert "WHFACTOR_TOL must be a positive finite number" in captured.err
 
 
 @pytest.mark.parametrize("name", ["wh_matrix_row.json", "wh_matrix_rh.json", "wh_matrix_col.json"])

@@ -8,9 +8,11 @@ import pytest
 
 import util
 from whfactor.errors import (
+    CertificateInvalid,
     HypothesisViolation,
     IndexNonzero,
     RHResidualNonzero,
+    WHError,
 )
 from whfactor.matrices import RAT, RingMatrix
 from whfactor.matrix_wh import (
@@ -22,7 +24,7 @@ from whfactor.matrix_wh import (
     toeplitz_apply,
     verify_factorization,
 )
-from whfactor.rings import GaussianRational, Polynomial, RationalFunction
+from whfactor.rings import APPoly, GaussianRational, Polynomial, RationalFunction
 from whfactor.scalar_wh import r_function, riesz_project, wh_factor_scalar, winding_exact
 
 I = GaussianRational(0, 1)
@@ -118,7 +120,7 @@ def test_factor_via_row_non_last_row_permutation():
 def test_factor_via_column_transpose_dual(row_example):
     G, _, _, a = row_example
     # transpose with swapped half-planes: conjugate the worked example
-    Gt = G.transpose().map(lambda f: f.conj_coeffs())
+    Gt = G.transpose().map(lambda f: f.conj())
     scalar = wh_factor_scalar(Gt.det().factored())
     assert scalar.k == 1
     psi_minus = util.rat_matrix([[1, 0]])
@@ -354,3 +356,96 @@ def test_factor_via_rh_three_by_three():
         assert F.partial_indices == (0, 0, k)
         assert F.reconstruct() == G
         assert verify_factorization(G, F).all_pass
+
+
+def _violated_certificates():
+    """(id, call, class): one call per violated certificate part, each raising
+    from the shared hypothesis checks of its route."""
+    from whfactor.ap import ap_factor_via_rh, ap_factor_via_row
+    from whfactor.fredholm import classify
+
+    r = r_function()
+    a = rf(1, X * X + 1)
+    up_bad = rf(lin(-2 * I), lin(2 * I))  # bounded, pole at 2i: outside H+
+    down_bad = rf(lin(2 * I), lin(-2 * I))  # bounded, pole at -2i: outside H-
+    unbounded = rf(X)  # outside every algebra, M level included
+    col = util.rat_matrix([[1], [0]])
+    row = util.rat_matrix([[1, 0]])
+    twice_col = util.rat_matrix([[2], [0]])
+    twice_row = util.rat_matrix([[2, 0]])
+    off_minus = util.rat_matrix([[1], [rf(1, lin(I))]])  # in H-, != G * col
+    G_row = util.rat_matrix([[1, 0], [a, r**-1]])
+    G_col = util.rat_matrix([[1, a], [0, r]])  # also the rh symbol
+    s_row = wh_factor_scalar(G_row.det().factored())
+    s_col = wh_factor_scalar(G_col.det().factored())
+
+    E = APPoly.e
+    A = util.ap_matrix([[E(0), 0], [0, E(1)]])
+    ap_col = util.ap_matrix([[E(0)], [0]])
+    ap_row = util.ap_matrix([[E(0), 0]])
+
+    cases = [
+        ("row-outside", lambda: factor_via_row(G_row, 1, util.rat_matrix([[up_bad], [0]]), s_row),
+         HypothesisViolation),
+        ("row-identity", lambda: factor_via_row(G_row, 1, twice_col, s_row), HypothesisViolation),
+        ("column-outside", lambda: factor_via_column(
+            G_col, 1, util.rat_matrix([[down_bad, 0]]), s_col), HypothesisViolation),
+        ("column-identity", lambda: factor_via_column(G_col, 1, twice_row, s_col),
+         HypothesisViolation),
+        ("rh-outside", lambda: factor_via_rh(
+            G_col, util.rat_matrix([[up_bad], [0]]), col, row, row, s_col), HypothesisViolation),
+        ("rh-residual", lambda: factor_via_rh(G_col, col, off_minus, row, row, s_col),
+         RHResidualNonzero),
+        ("rh-identity", lambda: factor_via_rh(G_col, col, col, twice_row, row, s_col),
+         HypothesisViolation),
+        ("ap-row-outside", lambda: ap_factor_via_row(A, 1, util.ap_matrix([[E(-1)], [0]])),
+         HypothesisViolation),
+        ("ap-row-identity", lambda: ap_factor_via_row(A, 1, util.ap_matrix([[E(0, 2)], [0]])),
+         HypothesisViolation),
+        ("ap-rh-outside", lambda: ap_factor_via_rh(
+            A, util.ap_matrix([[E(-1)], [0]]), ap_col, ap_row, ap_row), HypothesisViolation),
+        ("ap-rh-residual", lambda: ap_factor_via_rh(
+            A, ap_col, util.ap_matrix([[E(0)], [E(-1)]]), ap_row, ap_row), RHResidualNonzero),
+        ("ap-rh-identity", lambda: ap_factor_via_rh(
+            A, ap_col, ap_col, util.ap_matrix([[E(0, 2), 0]]), ap_row), HypothesisViolation),
+    ]
+    for level, up, down in (("H", up_bad, down_bad), ("M", unbounded, unbounded)):
+        up_col = util.rat_matrix([[up], [0]])
+        down_row = util.rat_matrix([[down, 0]])
+        cases += [
+            (f"classify-{level}-row-outside",
+             lambda level=level, m=up_col: classify(G_row, "row", level, omitted=1, phi_plus=m)),
+            (f"classify-{level}-row-identity",
+             lambda level=level: classify(G_row, "row", level, omitted=1, phi_plus=twice_col)),
+            (f"classify-{level}-column-outside",
+             lambda level=level, m=down_row: classify(
+                 G_col, "column", level, omitted=1, psi_minus=m)),
+            (f"classify-{level}-column-identity",
+             lambda level=level: classify(G_col, "column", level, omitted=1, psi_minus=twice_row)),
+            (f"classify-{level}-rh-outside",
+             lambda level=level, m=up_col: classify(
+                 G_col, "rh", level, phi_pair=(m, col), psi_pair=(row, row))),
+            (f"classify-{level}-rh-residual",
+             lambda level=level: classify(
+                 G_col, "rh", level, phi_pair=(col, off_minus), psi_pair=(row, row))),
+            (f"classify-{level}-rh-identity",
+             lambda level=level: classify(
+                 G_col, "rh", level, phi_pair=(col, col), psi_pair=(twice_row, row))),
+        ]
+        cases[-7:] = [(name, call, CertificateInvalid) for name, call in cases[-7:]]
+    return cases
+
+
+_VIOLATED = _violated_certificates()
+
+
+@pytest.mark.parametrize(
+    "call,expected", [case[1:] for case in _VIOLATED], ids=[case[0] for case in _VIOLATED]
+)
+def test_violated_certificate_raises_its_exception_class(call, expected):
+    """Each violated part of a row, column or boundary-relation certificate
+    raises exactly the class its route documents, for rational and almost
+    periodic symbols and for classify at both levels."""
+    with pytest.raises(WHError) as info:
+        call()
+    assert info.type is expected, info.value
