@@ -34,7 +34,7 @@ from .matrix_wh import (
     _require_square,
     _SymbolAlgebra,
 )
-from .rings import DEFAULT_TOL, APPoly, GaussianRational, abs_bounds
+from .rings import DEFAULT_TOL, APPoly, GaussianRational
 from .scalar_wh import _argument_increment
 
 
@@ -84,20 +84,6 @@ def ap_project(p: APPoly, half: str) -> APPoly:
     raise ValueError("half must be '+' or '-'")
 
 
-def _dominant_frequency(p: APPoly):
-    for freq, coeff in p.terms:
-        lo, _ = abs_bounds(coeff)
-        rest = Fraction(0)
-        for f2, c2 in p.terms:
-            if f2 == freq:
-                continue
-            _, hi = abs_bounds(c2)
-            rest += hi
-        if lo > rest:
-            return freq
-    return None
-
-
 def mean_motion(p: APPoly, grid: int = 512, tol: float = DEFAULT_TOL) -> MeanMotionResult:
     """Average winding rate of an invertible almost periodic polynomial.
 
@@ -111,7 +97,7 @@ def mean_motion(p: APPoly, grid: int = 512, tol: float = DEFAULT_TOL) -> MeanMot
         raise ZeroInput("mean motion of the zero function")
     if p.is_monomial:
         return MeanMotionResult(p.terms[0][0], "monomial")
-    dom = _dominant_frequency(p)
+    dom = p.dominant_frequency()
     if dom is not None:
         return MeanMotionResult(dom, "dominant-coefficient")
 

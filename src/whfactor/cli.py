@@ -133,7 +133,7 @@ def run_minors(job, args, tol):
 
 def run_one_sided(job, args, tol, side: str):
     m = jsonio.decode_matrix(job["matrix"], job.get("ring"))
-    method = _opt(job, args, "method", "general")
+    method = jsonio._choice(_opt(job, args, "method", "general"), "method", ("general", "corank1"))
     target = m if side == "left" else m.transpose()
     cert = job.get("certificate")
     if cert is None:
@@ -283,8 +283,8 @@ def run_report(job, args, tol):
         return continuous_except_line(G, tol)
     if kind == "classify":
         G = jsonio.decode_matrix(job["matrix"], "rational")
-        structure = job["structure"]
-        level = job["level"]
+        structure = jsonio._choice(job["structure"], "structure", ("row", "column", "rh"))
+        level = jsonio._choice(job["level"], "level", ("H", "M"))
         kwargs = {"tol": tol}
         if "omitted" in job:
             kwargs["omitted"] = _int_opt(job, None, "omitted", None, 0, G.rows - 1)

@@ -26,7 +26,6 @@ from .rings import (
     ONE,
     RationalFunction,
     _poly_roots,
-    abs_bounds,
     egcd_many,
     half_plane_of_root,
     mobius_from_disk,
@@ -260,22 +259,6 @@ def corona_solve_mplus(h, half: str = "+", tol: float = DEFAULT_TOL):
     )
 
 
-def _dominant_at_zero(p: APPoly):
-    """Exact decision of |c_0| > sum over other frequencies of |c|; ties and
-    undecidable enclosures count as not dominant."""
-    c0 = p.coeff(0)
-    if not c0:
-        return False
-    lo0, _ = abs_bounds(c0)
-    hi_rest = Fraction(0)
-    for f, c in p.terms:
-        if f == 0:
-            continue
-        _, hi = abs_bounds(c)
-        hi_rest += hi
-    return lo0 > hi_rest
-
-
 def corona_solve_ap(
     h,
     half: str = "+",
@@ -312,7 +295,7 @@ def corona_solve_ap(
                 "common exponential factor is not invertible in the algebra",
             )
     for j, p in enumerate(h):
-        if p.is_zero or not _dominant_at_zero(p):
+        if p.dominant_frequency() != 0:
             continue
         c0 = p.coeff(0)
         if p.is_monomial:

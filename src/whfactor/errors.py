@@ -92,3 +92,8 @@ class CertificateInvalid(WHError):
 
 class NearZeroOnContour(WHError):
     """Numeric winding cannot proceed: the symbol nearly vanishes on the contour."""
+
+
+class FloatRangeExceeded(WHError):
+    """An exact value lies beyond the float range, so no numeric step can
+    take it in."""

@@ -84,15 +84,12 @@ def maximal_minors(phi: RingMatrix) -> MinorVector:
 
 
 def omitted_row_minors(phi: RingMatrix) -> list:
-    """Minors of an n x (n-1) matrix indexed by the omitted row."""
+    """Minors of an n x (n-1) matrix indexed by the omitted row: the
+    lexicographic (n-1)-row subsets omit rows n-1, ..., 0 in turn."""
     n, m = phi.rows, phi.cols
     if m != n - 1:
         raise ShapeMismatch("expected a corank-one matrix")
-    mv = maximal_minors(phi)
-    by_subset = dict(zip(mv.subsets, mv.values))
-    return [
-        by_subset[tuple(r for r in range(n) if r != j)] for j in range(n)
-    ]
+    return list(maximal_minors(phi).values[::-1])
 
 
 def adjoint_submatrix(phi: RingMatrix, subset) -> RingMatrix:
@@ -154,27 +151,15 @@ def left_inverse_corank1(phi: RingMatrix, delta_star) -> RingMatrix:
     """Left inverse of an n x (n-1) matrix from a certificate against the
     omitted-row minors: sum_j delta_star[j] * det(phi without row j) = 1.
 
-    Built as the first n-1 rows of the adjugate of the unit-determinant
-    augmentation [phi | c~], which fixes all cofactor signs by construction.
+    This is the general construction with the certificate read in
+    lexicographic subset order, which omits rows n-1, ..., 0 in turn.
     """
     n, m = phi.rows, phi.cols
     if m != n - 1:
         raise ShapeMismatch("expected a corank-one matrix")
     if len(delta_star) != n:
         raise BezoutCertificateInvalid("certificate length must equal the row count")
-    ring = phi.ring
-    minors = omitted_row_minors(phi)
-    if not _bezout_pairing(minors, delta_star, ring) == ring.one:
-        raise BezoutCertificateInvalid("certificate does not combine the minors to 1")
-    last = [
-        [ring.coerce(c) if (n - 1 - p) % 2 == 0 else -ring.coerce(c)]
-        for p, c in enumerate(delta_star)
-    ]
-    augmented = phi.hstack(RingMatrix(ring, last))
-    psi = augmented.adjugate().submatrix(range(n - 1), range(n))
-    if not (psi * phi).is_identity():
-        raise AssertionError("constructed candidate failed the left-inverse identity")
-    return psi
+    return left_inverse_general(phi, delta_star[::-1])
 
 
 def complete(phi: RingMatrix, psi: RingMatrix) -> Completion:

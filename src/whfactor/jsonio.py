@@ -59,9 +59,7 @@ def encode(obj):
                 {"root": encode(root), "mult": mult} for root, mult in obj.factors
             ],
         }
-    if isinstance(obj, APPoly):
-        return [{"freq": encode(f), "coeff": encode(c)} for f, c in obj.terms]
-    if isinstance(obj, MixedFunction):
+    if isinstance(obj, (APPoly, MixedFunction)):
         return [{"freq": encode(f), "coeff": encode(c)} for f, c in obj.terms]
     if isinstance(obj, RingMatrix):
         return {
@@ -200,6 +198,14 @@ def _expect(v, kind: type, name: str):
     return v
 
 
+def _choice(v, name: str, allowed: tuple[str, ...]) -> str:
+    """v itself when it is one of the allowed strings; anything else is a
+    DecodeError naming the field and the allowed values."""
+    if not isinstance(v, str) or v not in allowed:
+        raise DecodeError(f"{name} must be one of {', '.join(allowed)}, got {v!r}")
+    return v
+
+
 def decode_fraction(v) -> Fraction:
     if isinstance(v, bool):
         raise DecodeError("expected a rational, got a boolean")
@@ -282,7 +288,7 @@ def decode_matrix(v, ring_name: str | None = None) -> RingMatrix:
     if isinstance(v, dict):
         ring_name = v.get("ring", ring_name)
         v = v["entries"]
-    if ring_name not in RINGS:
+    if not isinstance(ring_name, str) or ring_name not in RINGS:
         raise DecodeError(f"unknown ring {ring_name!r}")
     if not isinstance(v, list) or not v or not all(isinstance(r, list) for r in v):
         raise DecodeError("matrix entries must be a nested array")

@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from fractions import Fraction
 
 from .errors import (
+    FloatRangeExceeded,
     RealPole,
     RootClassificationAmbiguous,
     ZeroDenominator,
@@ -193,8 +195,15 @@ class GaussianRational:
         return self._b == 0
 
     def to_complex(self) -> complex:
-        # int true division is correctly rounded, as float(Fraction) is
-        return complex(self._a / self._d, self._b / self._d)
+        # int true division is correctly rounded, as float(Fraction) is, and
+        # overflows exactly where it does
+        try:
+            return complex(self._a / self._d, self._b / self._d)
+        except OverflowError:
+            raise FloatRangeExceeded(
+                f"a part beyond the float range (magnitude above {sys.float_info.max:.4g})"
+                " cannot be converted to complex"
+            ) from None
 
     def half_plane(self) -> str:
         """'+', '-' or 'R' according to the sign of the imaginary part."""
@@ -507,56 +516,26 @@ def egcd_many(polys):
     return g, coeffs
 
 
-def _real_coeff_list(p: Polynomial) -> list[Fraction]:
-    out = []
-    for c in p.coeffs:
-        if c.im != 0:
-            raise ValueError("polynomial has non-real coefficients")
-        out.append(c.re)
-    return out
-
-
 def count_distinct_real_roots(p: Polynomial) -> int:
     """Sturm count of distinct real roots of a real-coefficient polynomial."""
-    cs = _real_coeff_list(p)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    if len(cs) <= 1:
+    if any(c._b for c in p.coeffs):
+        raise ValueError("polynomial has non-real coefficients")
+    if p.degree <= 0:
         return 0
-
-    def poly_mod(a, b):
-        a = a[:]
-        while len(a) >= len(b):
-            c = a[-1] / b[-1]
-            k = len(a) - len(b)
-            for j, bj in enumerate(b):
-                a[k + j] -= c * bj
-            while a and a[-1] == 0:
-                a.pop()
-            if not a:
-                break
-        return a
-
-    chain = [cs, [k * c for k, c in enumerate(cs)][1:]]
-    while chain[-1]:
-        r = poly_mod(chain[-2], chain[-1])
-        if not r:
+    chain = [p, p.derivative()]
+    while True:
+        r = chain[-2] % chain[-1]
+        if r.is_zero:
             break
-        chain.append([-c for c in r])
+        chain.append(-r)
 
-    def variations(at_plus_inf: bool) -> int:
-        signs = []
-        for q in chain:
-            if not q:
-                continue
-            s = q[-1]
-            if not at_plus_inf and (len(q) - 1) % 2 == 1:
-                s = -s
-            if s != 0:
-                signs.append(1 if s > 0 else -1)
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    def changes(signs) -> int:
+        return sum(a != b for a, b in zip(signs, signs[1:]))
 
-    return variations(False) - variations(True)
+    # every member is nonzero; its sign at +inf is its leading sign
+    at_plus = [q.lead._a > 0 for q in chain]
+    at_minus = [s != (q.degree % 2 == 1) for s, q in zip(at_plus, chain)]
+    return changes(at_minus) - changes(at_plus)
 
 
 def real_roots_of_real_factor(p: Polynomial) -> int:
@@ -1057,21 +1036,26 @@ def mobius_from_disk(g: RationalFunction) -> RationalFunction:
     )
 
 
-class APPoly:
-    """Almost periodic polynomial: finite map frequency -> coefficient.
+class _ExpSum:
+    """Finite sum of coefficients times exponentials e_freq, kept as terms:
+    (freq, coeff) pairs with exact rational frequencies in ascending order
+    and no zero coefficient.
 
-    Frequencies are exact rationals; ring operations do exact frequency
-    arithmetic (products convolve supports).
+    A subclass fixes the coefficient ring through _coeff (coercion of one
+    coefficient) and coerce (coercion of a whole operand); the arithmetic
+    convolves supports.
     """
 
     __slots__ = ("terms",)
+    _term_format = "{c}*e[{f}]"
 
     def __init__(self, terms=()):
-        acc: dict[Fraction, GaussianRational] = {}
+        coeff_of = self._coeff
+        acc = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for freq, coeff in items:
             freq = _as_fraction(freq) if not isinstance(freq, Fraction) else freq
-            coeff = GaussianRational.coerce(coeff)
+            coeff = coeff_of(coeff)
             if freq in acc:
                 coeff = acc[freq] + coeff
             if coeff:
@@ -1083,7 +1067,75 @@ class APPoly:
         )
 
     def __setattr__(self, name, value):
-        raise AttributeError("APPoly is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __add__(self, other):
+        try:
+            o = self.coerce(other)
+        except TypeError:
+            return NotImplemented
+        return type(self)(list(self.terms) + list(o.terms))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        try:
+            o = self.coerce(other)
+        except TypeError:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __neg__(self):
+        return type(self)([(f, -c) for f, c in self.terms])
+
+    def __mul__(self, other):
+        try:
+            o = self.coerce(other)
+        except TypeError:
+            return NotImplemented
+        out: list = []
+        for f1, c1 in self.terms:
+            for f2, c2 in o.terms:
+                out.append((f1 + f2, c1 * c2))
+        return type(self)(out)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        try:
+            o = self.coerce(other)
+        except TypeError:
+            return NotImplemented
+        return self.terms == o.terms
+
+    def __hash__(self):
+        return hash(self.terms)
+
+    def __bool__(self):
+        return not self.is_zero
+
+    def __repr__(self):
+        if self.is_zero:
+            return "0"
+        return " + ".join(self._term_format.format(c=c, f=f) for f, c in self.terms)
+
+
+class APPoly(_ExpSum):
+    """Almost periodic polynomial: finite map frequency -> coefficient.
+
+    Frequencies are exact rationals; ring operations do exact frequency
+    arithmetic (products convolve supports).
+    """
+
+    __slots__ = ()
+    _coeff = staticmethod(GaussianRational.coerce)
 
     @staticmethod
     def coerce(x) -> "APPoly":
@@ -1098,10 +1150,6 @@ class APPoly:
     def e(freq, coeff=1) -> "APPoly":
         """The exponential basis element coeff * e_freq."""
         return APPoly([(Fraction(freq), GaussianRational.coerce(coeff))])
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     @property
     def support(self) -> tuple[Fraction, ...]:
@@ -1128,53 +1176,18 @@ class APPoly:
             raise ZeroInput("zero almost periodic polynomial")
         return self.terms[-1][0]
 
-    def __add__(self, other):
-        try:
-            o = APPoly.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return APPoly(list(self.terms) + list(o.terms))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        try:
-            o = APPoly.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return APPoly([(f, -c) for f, c in self.terms])
-
-    def __mul__(self, other):
-        try:
-            o = APPoly.coerce(other)
-        except TypeError:
-            return NotImplemented
-        out: list = []
-        for f1, c1 in self.terms:
-            for f2, c2 in o.terms:
-                out.append((f1 + f2, c1 * c2))
-        return APPoly(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        try:
-            o = APPoly.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.terms == o.terms
-
-    def __hash__(self):
-        return hash(self.terms)
-
-    def __bool__(self):
-        return not self.is_zero
+    def dominant_frequency(self) -> Fraction | None:
+        """The frequency whose coefficient strictly outweighs all the others
+        together, |c_f| > sum of |c_g| over g != f, decided exactly on
+        rational enclosures; None when there is none (ties and undecidable
+        enclosures count as not dominant).  At most one frequency can be
+        strictly dominant."""
+        bounds = [abs_bounds(c) for _, c in self.terms]
+        hi_total = sum(hi for _, hi in bounds)
+        for (f, _), (lo, hi) in zip(self.terms, bounds):
+            if lo > hi_total - hi:
+                return f
+        return None
 
     def in_half_algebra(self, half: str, tol: float = DEFAULT_TOL) -> bool:
         """Member of AP+ (half '+': support >= 0) or AP- (support <= 0).  tol
@@ -1208,38 +1221,16 @@ class APPoly:
             hi += b
         return lo, hi
 
-    def __repr__(self):
-        if self.is_zero:
-            return "0"
-        return " + ".join(f"{c}*e[{f}]" for f, c in self.terms)
 
-
-class MixedFunction:
+class MixedFunction(_ExpSum):
     """Finite sum of rational-function coefficients times exponentials e_freq.
 
     Supports ring arithmetic and determinants only; not factorization.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=()):
-        acc: dict[Fraction, RationalFunction] = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for freq, coeff in items:
-            freq = Fraction(freq)
-            coeff = RationalFunction.coerce(coeff)
-            if freq in acc:
-                coeff = acc[freq] + coeff
-            if not coeff.is_zero:
-                acc[freq] = coeff
-            elif freq in acc:
-                del acc[freq]
-        object.__setattr__(
-            self, "terms", tuple(sorted(acc.items(), key=lambda t: t[0]))
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MixedFunction is immutable")
+    __slots__ = ()
+    _coeff = staticmethod(RationalFunction.coerce)
+    _term_format = "({c})*e[{f}]"
 
     @staticmethod
     def coerce(x) -> "MixedFunction":
@@ -1252,10 +1243,6 @@ class MixedFunction:
         if isinstance(x, (int, Fraction, GaussianRational, Polynomial, RationalFunction)):
             return MixedFunction([(Fraction(0), RationalFunction.coerce(x))])
         raise TypeError(f"cannot coerce {type(x).__name__} to MixedFunction")
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     @property
     def is_rational(self) -> bool:
@@ -1275,53 +1262,3 @@ class MixedFunction:
         if not self.is_pure_ap:
             raise ValueError("coefficients are not constants")
         return APPoly([(f, c.constant_value()) for f, c in self.terms])
-
-    def __add__(self, other):
-        try:
-            o = MixedFunction.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return MixedFunction(list(self.terms) + list(o.terms))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        try:
-            o = MixedFunction.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return MixedFunction([(f, -c) for f, c in self.terms])
-
-    def __mul__(self, other):
-        try:
-            o = MixedFunction.coerce(other)
-        except TypeError:
-            return NotImplemented
-        out = []
-        for f1, c1 in self.terms:
-            for f2, c2 in o.terms:
-                out.append((f1 + f2, c1 * c2))
-        return MixedFunction(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        try:
-            o = MixedFunction.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.terms == o.terms
-
-    def __bool__(self):
-        return not self.is_zero
-
-    def __repr__(self):
-        if self.is_zero:
-            return "0"
-        return " + ".join(f"({c})*e[{f}]" for f, c in self.terms)

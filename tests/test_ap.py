@@ -2,6 +2,7 @@
 gap-guarded row factorization, the gap-free boundary-relation route, and
 the unitary/orthogonal corona specials."""
 
+import decimal
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import pytest
 import util
 from whfactor.ap import (
     APFactorization,
+    MeanMotionResult,
     SplitUnavailable,
     ap_factor_via_rh,
     ap_factor_via_row,
@@ -88,6 +90,42 @@ def test_mean_motion_dominant_cross_checked_numerically():
             prev = cur
         est = Fraction(round(total / (2 * math.pi)), period_b)
         assert est == mm.kappa
+
+
+def _brute_dominant(p: APPoly):
+    """The frequency whose |coefficient| exceeds the others' sum, from
+    60-digit moduli; a gap below 1e-40 is an exact tie at these sizes."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        mods = [
+            (decimal.Decimal(c.re.numerator) / c.re.denominator) ** 2
+            + (decimal.Decimal(c.im.numerator) / c.im.denominator) ** 2
+            for _, c in p.terms
+        ]
+        mods = [m.sqrt() for m in mods]
+        total = sum(mods)
+        gap = decimal.Decimal("1e-40")
+        winners = [f for (f, _), m in zip(p.terms, mods) if 2 * m - total > gap]
+    assert len(winners) <= 1
+    return winners[0] if winners else None
+
+
+def test_dominant_frequency_matches_brute_force():
+    rng = random.Random(113)
+    freqs = [Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)]
+    seen = set()
+    for _ in range(400):
+        p = APPoly()
+        for f in rng.sample(freqs, rng.randint(1, 4)):
+            p = p + E(f, util.rand_gr(rng, 4, 2) * rng.choice([1, 1, 2, 5]))
+        if p.is_zero:
+            continue
+        want = _brute_dominant(p)
+        seen.add(want)
+        assert p.dominant_frequency() == want
+        if want is not None and not p.is_monomial:
+            assert mean_motion(p) == MeanMotionResult(want, "dominant-coefficient")
+    assert None in seen and Fraction(0) in seen and len(seen) >= 4
 
 
 def test_mean_motion_vanishing_unresolved():

@@ -231,6 +231,17 @@ IMAG_ROOT = {"root": {"im": [1, 1]}}
             "report", None, {**CLASSIFY, "structure": "rh", "phi_pair": 5, "psi_pair": 5}, [],
             "phi_pair must be an array",
         ),
+        (
+            "report", None, {**CLASSIFY, "structure": "bogus"}, [],
+            "structure must be one of row, column, rh, got 'bogus'",
+        ),
+        ("report", None, {**CLASSIFY, "level": "X"}, [], "level must be one of H, M, got 'X'"),
+        ("minors", "minors.json", {"ring": []}, [], "unknown ring []"),
+        ("minors", None, {"matrix": {"ring": {}, "entries": [[1], [2]]}}, [], "unknown ring {}"),
+        (
+            "left-inverse", "left_inverse.json", {"method": "bogus"}, [],
+            "method must be one of general, corank1, got 'bogus'",
+        ),
     ],
     ids=[
         "winding-grid-abc",
@@ -264,6 +275,11 @@ IMAG_ROOT = {"root": {"im": [1, 1]}}
         "apply-inverse-vector-scalar",
         "left-inverse-certificate-scalar",
         "report-classify-phi-pair-scalar",
+        "report-classify-structure-bogus",
+        "report-classify-level-X",
+        "minors-ring-array",
+        "minors-matrix-ring-object",
+        "left-inverse-method-bogus",
     ],
 )
 def test_malformed_field_is_a_validation_error(
@@ -288,6 +304,17 @@ def test_malformed_tolerance_variable_is_a_validation_error(value, monkeypatch, 
     assert code == 2, captured.err
     assert captured.out == ""
     assert "WHFACTOR_TOL must be a positive finite number" in captured.err
+
+
+def test_value_beyond_float_range_is_a_named_verdict(tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"symbol": {"num": [10**400, 1], "den": [1, 1]}}))
+    code = cli.main(["wh-scalar", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1, captured.err
+    doc = json.loads(captured.out)
+    assert doc["result"]["verdict"] == "FloatRangeExceeded"
+    assert "float range" in doc["result"]["detail"]
 
 
 @pytest.mark.parametrize("name", ["wh_matrix_row.json", "wh_matrix_rh.json", "wh_matrix_col.json"])

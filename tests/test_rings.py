@@ -8,11 +8,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import util
-from whfactor.errors import RootClassificationAmbiguous, ZeroDenominator
+from whfactor.errors import FloatRangeExceeded, RootClassificationAmbiguous, ZeroDenominator
 from whfactor.rings import (
     APPoly,
     FactoredRational,
@@ -131,17 +131,32 @@ def _assert_matches(z, re, im):
     assert repr(z) == _reference_repr(re, im)
     assert z == GaussianRational(re, im) and not z != GaussianRational(re, im)
     assert bool(z) == (re != 0 or im != 0)
-    c = z.to_complex()
-    ref = complex(re) + 1j * complex(im)
-    assert (c.real.hex(), c.imag.hex()) == (ref.real.hex(), ref.imag.hex())
+    try:
+        ref = complex(re) + 1j * complex(im)
+    except OverflowError:
+        with pytest.raises(FloatRangeExceeded):
+            z.to_complex()
+    else:
+        c = z.to_complex()
+        assert (c.real.hex(), c.imag.hex()) == (ref.real.hex(), ref.imag.hex())
     if im == 0:
         assert z == re and not z == re + 1
         if re.denominator == 1:
             assert z == int(re) and not z == int(re) + 1
 
 
+_NO_OPERAND = ("int", 0, 0)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_EXACT, _EXACT, st.lists(_STEP, max_size=8))
+# (41106780128146i * 3246i)**18 = 133432608295961916**18 passes the float range
+@example(
+    0,
+    Fraction(41106780128146),
+    [("*", ("gaussian", 0, 3246), False, 0)]
+    + [("pow", _NO_OPERAND, False, n) for n in (2, 3, 3)],
+)
 def test_gaussian_core_matches_fraction_pairs(re, im, steps):
     """Random chains of field operations agree with a reference on pairs of
     Fractions, and every result keeps the canonical (a + b*i)/d form."""
@@ -308,6 +323,23 @@ def test_sturm_real_root_count():
     assert count_distinct_real_roots(p) == 2
     assert count_distinct_real_roots(X * X + 1) == 0
     assert count_distinct_real_roots((X - 1) * (X - 1)) == 1
+    with pytest.raises(ValueError, match="polynomial has non-real coefficients"):
+        count_distinct_real_roots(X + Polynomial([I]))
+
+    # seeded products with repeated factors against sympy's distinct count
+    import sympy
+
+    x = sympy.symbols("x")
+    rng = random.Random(59)
+    for _ in range(60):
+        p = Polynomial([rng.randint(1, 3)])
+        for _ in range(rng.randint(1, 3)):
+            deg = rng.randint(1, 2)
+            cs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(deg)]
+            p = p * Polynomial(cs + [1]) ** rng.randint(1, 3)
+        cs = [sympy.Rational(c.re.numerator, c.re.denominator) for c in reversed(p.coeffs)]
+        ref = sympy.Poly(cs, x)
+        assert count_distinct_real_roots(p) == ref.sqf_part().count_roots()
 
 
 def test_rational_membership_predicates():
@@ -347,3 +379,14 @@ def test_mixed_ring_arithmetic():
     assert MixedFunction.coerce(r).is_rational
     assert m.is_pure_ap
     assert m.as_appoly() == APPoly.e(Fraction(1, 2))
+
+
+def test_mixed_function_refuses_float_frequencies_and_hashes_by_value():
+    with pytest.raises(TypeError):
+        MixedFunction([(0.5, RationalFunction(1))])
+    r = RationalFunction(X, X + Polynomial([I]))
+    a = MixedFunction([(Fraction(1, 2), r), (0, 1)])
+    b = MixedFunction([(0, RationalFunction(1)), (Fraction(2, 4), r)])
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, a + 1}) == 2
+    assert repr(a) == "((1))*e[0] + ((1*x) / (1i + 1*x))*e[1/2]"
