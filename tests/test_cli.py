@@ -339,3 +339,48 @@ def test_wh_matrix_takes_the_symbol_determinant_once(name, monkeypatch, capsys):
     assert cli.main(["wh-matrix", "--input", str(DATA / name)]) == 0
     capsys.readouterr()
     assert len(symbol_tables) == 1
+
+
+UNSNAPPED_SYMBOL = {"num": [-1, {"im": -3}, 1], "den": [-1, {"im": 3}, 1]}
+
+
+def run_in_process(command, job, tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    code = cli.main([command, "--input", str(path)])
+    captured = capsys.readouterr()
+    return code, (json.loads(captured.out) if captured.out else None), captured.err
+
+
+def test_unsnapped_roots_wind_but_do_not_factor(tmp_path, capsys):
+    code, doc, err = run_in_process("winding", {"symbol": UNSNAPPED_SYMBOL}, tmp_path, capsys)
+    assert code == 0, err
+    assert doc["result"] == {"exact": 2, "numeric": 2}
+    code, doc, err = run_in_process("wh-scalar", {"symbol": UNSNAPPED_SYMBOL}, tmp_path, capsys)
+    assert code == 1, err
+    assert doc["result"]["verdict"] == "FactorizationInexact"
+
+
+@pytest.mark.parametrize(
+    "name,dropped",
+    [("wh_matrix_col.json", ["psi_minus"]), ("wh_matrix_rh.json", ["psi_plus", "psi_minus"])],
+)
+def test_auto_constructed_one_sided_inverses(name, dropped, tmp_path, capsys):
+    job = json.loads((DATA / name).read_text())
+    for key in dropped:
+        del job[key]
+    code, doc, err = run_in_process("wh-matrix", job, tmp_path, capsys)
+    assert code == 0, err
+    assert doc["result"]["verify"]["all_pass"] is True
+
+
+def test_auto_inverse_refusal_is_a_verdict(tmp_path, capsys):
+    # the kept row [r, 0] vanishes at i, so it has no right inverse over H+
+    r = {"num": [{"im": -1}, 1], "den": [{"im": 1}, 1]}
+    r_inv = {"num": [{"im": 1}, 1], "den": [{"im": -1}, 1]}
+    job = {"matrix": [[r, 0], [0, r_inv]], "mode": "row", "omitted": 1}
+    code, doc, err = run_in_process("wh-matrix", job, tmp_path, capsys)
+    assert code == 1, err
+    assert doc["status"] == "failure"
+    assert doc["result"]["verdict"] == "one-sided-inverse-unavailable"
+    assert doc["result"]["diagnosis"]["status"] == "not_invertible"

@@ -288,3 +288,10 @@ def test_scalar_symbol_report():
         "index": -2,
     }
     assert scalar_symbol_report(rf(X, lin(-I)))["fredholm"] == "no"
+
+
+def test_special_orthogonal_identity_is_strict():
+    rep = special_orthogonal(util.rat_matrix([[1, 0], [0, 1]]))
+    assert rep.fredholm == "yes"
+    assert rep.justification == "orthogonal-constant-det/strict"
+    assert (rep.dim_ker, rep.dim_coker, rep.index, rep.coburn) == (0, 0, 0, "both")

@@ -390,3 +390,18 @@ def test_mixed_function_refuses_float_frequencies_and_hashes_by_value():
     assert a == b and hash(a) == hash(b)
     assert len({a, b, a + 1}) == 2
     assert repr(a) == "((1))*e[0] + ((1*x) / (1i + 1*x))*e[1/2]"
+
+
+# roots of these quadratics sit on the imaginary axis at irrational points,
+# i(3 +- sqrt 5)/2 and their negatives, so no snap candidate verifies
+Q_UPPER = Polynomial([-1, -3 * I, 1])
+P_LOWER = Polynomial([-1, 3 * I, 1])
+
+
+def test_unsnapped_roots_decide_membership_and_stay_inexact():
+    f = RationalFunction(1, P_LOWER)
+    assert f.in_half_algebra("+")
+    assert not f.in_half_algebra("-")
+    factored = RationalFunction(Q_UPPER, P_LOWER).factored()
+    assert not factored.exact
+    assert all(isinstance(root, complex) for root, _ in factored.factors)

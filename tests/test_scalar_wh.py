@@ -191,3 +191,14 @@ def test_pole_split_plain():
     plus, minus = pole_split(f)
     assert plus + minus == f
     assert plus.in_half_algebra("+") and minus.in_half_algebra("-")
+
+
+def test_unsnapped_roots_wind_but_do_not_factor():
+    from whfactor.errors import FactorizationInexact
+
+    q, p = Polynomial([-1, -3 * I, 1]), Polynomial([-1, 3 * I, 1])
+    factored = RationalFunction(q, p).factored()
+    assert winding_exact(factored) == 2
+    assert winding_numeric(factored) == 2
+    with pytest.raises(FactorizationInexact):
+        wh_factor_scalar(factored)
