@@ -19,6 +19,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import ClassVar
 
 from .errors import HypothesisViolation, MembershipViolation, NearZeroOnContour, ZeroInput
 from .corona import CoronaCertificate, CoronaFailure, Unresolved, corona_solve_ap
@@ -64,7 +65,7 @@ class SplitUnavailable:
     offending: tuple[Fraction, ...]
     kappa: Fraction
     reason: str = "off-diagonal scalar has frequencies inside the spectral gap"
-    status: str = "split-unavailable"
+    status: ClassVar[str] = "split-unavailable"
 
 
 @dataclass(frozen=True)
@@ -84,7 +85,11 @@ def ap_project(p: APPoly, half: str) -> APPoly:
     raise ValueError("half must be '+' or '-'")
 
 
-def mean_motion(p: APPoly, grid: int = 512, tol: float = DEFAULT_TOL) -> MeanMotionResult:
+# sample count of the numeric winding estimate on the unit circle
+_MEAN_MOTION_GRID = 512
+
+
+def mean_motion(p: APPoly, tol: float = DEFAULT_TOL) -> MeanMotionResult:
     """Average winding rate of an invertible almost periodic polynomial.
 
     Exact for monomials and for polynomials with a strictly dominant
@@ -111,7 +116,7 @@ def mean_motion(p: APPoly, grid: int = 512, tol: float = DEFAULT_TOL) -> MeanMot
         z = cmath.exp(1j * theta)
         return sum(c * z ** int(m) for m, c in exponents)
 
-    thetas = [2 * math.pi * (j + 0.5) / grid for j in range(grid)]
+    thetas = [2 * math.pi * (j + 0.5) / _MEAN_MOTION_GRID for j in range(_MEAN_MOTION_GRID)]
     try:
         total = _argument_increment(laurent, thetas, tol, 40)
     except NearZeroOnContour:

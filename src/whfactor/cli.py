@@ -114,7 +114,12 @@ def _scalar_for(job, G, tol):
     return wh_factor_scalar(G.det().factored(tol), tol)
 
 
-def _auto_inverse(m, side, algebra, tol):
+def _inverse(job, key: str, m, side: str, algebra: str, tol):
+    """job[key] decoded when the job supplies it; otherwise the one-sided
+    inverse of m built from a corona certificate over the algebra, or a
+    JobFailure carrying the diagnosis when there is none."""
+    if key in job:
+        return jsonio.decode_matrix(job[key], "rational")
     diag = one_sided_diagnose(m, side, make_rational_solver(algebra, tol))
     if diag.status != "certificate":
         raise JobFailure(
@@ -206,31 +211,17 @@ def run_wh_matrix(job, args, tol):
     scalar = _scalar_for(job, G, tol)
     if mode == "row":
         omitted = _int_opt(job, args, "omitted", G.rows - 1, 0, G.rows - 1)
-        psi = G.delete_row(omitted)
-        if "phi_plus" in job:
-            phi_plus = jsonio.decode_matrix(job["phi_plus"], "rational")
-        else:
-            phi_plus = _auto_inverse(psi, "right", "H+", tol)
+        phi_plus = _inverse(job, "phi_plus", G.delete_row(omitted), "right", "H+", tol)
         fact = factor_via_row(G, omitted, phi_plus, scalar, tol)
     elif mode == "col":
         omitted = _int_opt(job, args, "omitted", G.cols - 1, 0, G.cols - 1)
-        phi = G.delete_col(omitted)
-        if "psi_minus" in job:
-            psi_minus = jsonio.decode_matrix(job["psi_minus"], "rational")
-        else:
-            psi_minus = _auto_inverse(phi, "left", "H-", tol)
+        psi_minus = _inverse(job, "psi_minus", G.delete_col(omitted), "left", "H-", tol)
         fact = factor_via_column(G, omitted, psi_minus, scalar, tol)
     elif mode == "rh":
         phi_plus = jsonio.decode_matrix(job["phi_plus"], "rational")
         phi_minus = jsonio.decode_matrix(job["phi_minus"], "rational")
-        if "psi_plus" in job:
-            psi_plus = jsonio.decode_matrix(job["psi_plus"], "rational")
-        else:
-            psi_plus = _auto_inverse(phi_plus, "left", "H+", tol)
-        if "psi_minus" in job:
-            psi_minus = jsonio.decode_matrix(job["psi_minus"], "rational")
-        else:
-            psi_minus = _auto_inverse(phi_minus, "left", "H-", tol)
+        psi_plus = _inverse(job, "psi_plus", phi_plus, "left", "H+", tol)
+        psi_minus = _inverse(job, "psi_minus", phi_minus, "left", "H-", tol)
         fact = factor_via_rh(G, phi_plus, phi_minus, psi_plus, psi_minus, scalar, tol)
     else:
         raise DecodeError("mode must be row, col or rh")

@@ -12,8 +12,9 @@ solvable exactly when the gcd has no root in the closed disk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import ClassVar
 
 from .errors import MembershipViolation, RootClassificationAmbiguous
 from .matrices import _require_inside
@@ -24,7 +25,9 @@ from .rings import (
     GaussianRational,
     I,
     ONE,
+    ZERO,
     RationalFunction,
+    _locate_roots,
     _poly_roots,
     egcd_many,
     half_plane_of_root,
@@ -34,6 +37,9 @@ from .rings import (
 from .scalar_wh import wh_factor_scalar
 
 INFINITY = "infinity"
+
+# the declared-approximation target for the almost periodic geometric series
+_AP_TARGET_RESIDUAL = Fraction(1, 2**40)
 
 
 @dataclass
@@ -58,7 +64,7 @@ class CoronaCertificate:
     exact: bool = True
     residual: APPoly | None = None
     residual_bound: Fraction | None = None
-    status: str = "certificate"
+    status: ClassVar[str] = "certificate"
 
 
 @dataclass
@@ -68,7 +74,7 @@ class CoronaFailure:
 
     witness: object
     reason: str
-    status: str = "failure"
+    status: ClassVar[str] = "failure"
 
 
 @dataclass
@@ -76,19 +82,44 @@ class Unresolved:
     """Honest boundary of the implemented fragment (almost periodic solving)."""
 
     reason: str
-    status: str = "unresolved"
+    status: ClassVar[str] = "unresolved"
     notes: list = field(default_factory=list)
+
+
+def _checked_tuple(h, coerce, half, tol: float):
+    """The tuple with each entry coerced, after the checks every solver
+    shares: it is not empty (MembershipViolation), its entries lie in the
+    algebra (half '+' or '-', None for bounded on the line), and they do not
+    all vanish (then the CoronaFailure is returned instead)."""
+    h = [coerce(f) for f in h]
+    if not h:
+        raise MembershipViolation("empty tuple")
+    _require_inside(h, half, tol, MembershipViolation, "tuple")
+    if all(f.is_zero for f in h):
+        return CoronaFailure(None, "zero tuple vanishes identically")
+    return h
+
+
+def _certified(solution, h, algebra: str) -> CoronaCertificate:
+    """The certificate for solution after checking sum(g * f) == 1 exactly."""
+    total = RationalFunction(0)
+    for g, f in zip(solution, h):
+        total = total + g * f
+    if not total == RationalFunction(1):
+        raise AssertionError("Bezout identity failed to verify")
+    return CoronaCertificate(solution, algebra)
 
 
 def _disk_common_root(d, tol: float):
     """First root of d in the closed unit disk, or None.  Prefers circle
-    points (they witness extended-real-line zeros)."""
+    points (they witness extended-real-line zeros).  Only closeness to the
+    circle is refused: the real axis of the disk is the image of the
+    imaginary axis of the half-plane and is not special here."""
     if d.degree <= 0:
         return None
-    roots = _poly_roots(d, tol)
     boundary = None
     interior = None
-    for root, _ in roots:
+    for root, _ in _locate_roots(d, tol):
         if isinstance(root, GaussianRational):
             a2 = root.abs2()
             if a2 == 1:
@@ -121,19 +152,14 @@ def _disk_point_to_line(w):
 def corona_solve_hplus(h, half: str = "+", tol: float = DEFAULT_TOL):
     """Bezout solution over the rational half-plane algebra, or the common
     zero that obstructs it."""
-    h = [RationalFunction.coerce(f) for f in h]
-    if not h:
-        raise MembershipViolation("empty tuple")
-    _require_inside(h, half, tol, MembershipViolation, "tuple")
-    if all(f.is_zero for f in h):
-        return CoronaFailure(None, "zero tuple vanishes identically")
+    h = _checked_tuple(h, RationalFunction.coerce, half, tol)
+    if isinstance(h, CoronaFailure):
+        return h
     if half == "-":
         reflected = corona_solve_hplus([f.reflect() for f in h], "+", tol)
         if isinstance(reflected, CoronaFailure):
             w = reflected.witness
-            if isinstance(w, GaussianRational):
-                w = -w
-            elif isinstance(w, complex):
+            if isinstance(w, (GaussianRational, complex)):
                 w = -w
             return CoronaFailure(w, reflected.reason)
         return CoronaCertificate(
@@ -157,31 +183,7 @@ def corona_solve_hplus(h, half: str = "+", tol: float = DEFAULT_TOL):
     for c in coeffs:
         g_disk = RationalFunction(c * common_den, d)
         solution.append(mobius_from_disk(g_disk))
-    total = RationalFunction(0)
-    for g, f in zip(solution, h):
-        total = total + g * f
-    if not total == RationalFunction(1):
-        raise AssertionError("Bezout identity failed to verify")
-    return CoronaCertificate(solution, "H+")
-
-
-def _real_common_zero(h, tol: float):
-    """Exact common zero of the tuple on the extended real line, if any."""
-    nonzero = [f for f in h if not f.is_zero]
-    if all(f.infinity_value() == GaussianRational(0) for f in h):
-        return INFINITY
-    g = nonzero[0].num
-    for f in nonzero[1:]:
-        g = g.gcd(f.num)
-    if g.degree <= 0:
-        return None
-    for root, _ in _poly_roots(g, tol):
-        if isinstance(root, GaussianRational):
-            if root.half_plane() == "R":
-                return root
-        elif abs(root.imag) < tol:
-            return complex(root)
-    return None
+    return _certified(solution, h, "H+")
 
 
 def corona_solve_mplus(h, half: str = "+", tol: float = DEFAULT_TOL):
@@ -192,22 +194,25 @@ def corona_solve_mplus(h, half: str = "+", tol: float = DEFAULT_TOL):
     zero/pole structure in the half-plane as an invertible rational factor
     and delegates the remainder to the analytic solver.
     """
-    h = [RationalFunction.coerce(f) for f in h]
-    if not h:
-        raise MembershipViolation("empty tuple")
-    _require_inside(h, None, tol, MembershipViolation, "tuple")
-    if all(f.is_zero for f in h):
-        return CoronaFailure(None, "zero tuple vanishes identically")
-    witness = _real_common_zero(h, tol)
-    if witness is not None:
-        return CoronaFailure(
-            witness, "all entries vanish at a common point of the extended real line"
-        )
+    h = _checked_tuple(h, RationalFunction.coerce, None, tol)
+    if isinstance(h, CoronaFailure):
+        return h
+    # one numerator gcd serves the real-line witness and the common
+    # half-plane zeros; non-common numerator roots never need to be located
+    on_line = "all entries vanish at a common point of the extended real line"
+    if all(f.infinity_value() == ZERO for f in h):
+        return CoronaFailure(INFINITY, on_line)
+    nonzero = [f for f in h if not f.is_zero]
+    common = nonzero[0].num
+    for f in nonzero[1:]:
+        common = common.gcd(f.num)
+    common_roots = _poly_roots(common, tol) if common.degree > 0 else []
+    for root, _ in common_roots:
+        if isinstance(root, GaussianRational) and root.half_plane() == "R":
+            return CoronaFailure(root, on_line)
 
     # the extracted factor needs every half-plane pole of any entry (deepest
-    # order) and the common half-plane zeros (roots of the numerator gcd);
-    # non-common numerator roots never need to be located
-    nonzero = [f for f in h if not f.is_zero]
+    # order) and the common half-plane zeros
     pole_depth: dict[GaussianRational, int] = {}
     for f in nonzero:
         if f.den.degree == 0:
@@ -220,19 +225,15 @@ def corona_solve_mplus(h, half: str = "+", tol: float = DEFAULT_TOL):
                     "a half-plane pole could not be pinned exactly"
                 )
             pole_depth[root] = max(pole_depth.get(root, 0), mult)
-    common = nonzero[0].num
-    for f in nonzero[1:]:
-        common = common.gcd(f.num)
     common_zeros: dict[GaussianRational, int] = {}
-    if common.degree > 0:
-        for root, mult in _poly_roots(common, tol):
-            if half_plane_of_root(root) != half:
-                continue
-            if not isinstance(root, GaussianRational):
-                raise RootClassificationAmbiguous(
-                    "a common half-plane zero could not be pinned exactly"
-                )
-            common_zeros[root] = mult
+    for root, mult in common_roots:
+        if half_plane_of_root(root) != half:
+            continue
+        if not isinstance(root, GaussianRational):
+            raise RootClassificationAmbiguous(
+                "a common half-plane zero could not be pinned exactly"
+            )
+        common_zeros[root] = mult
     extracted = [(root, -depth) for root, depth in pole_depth.items()]
     extracted += [(root, mult) for root, mult in common_zeros.items()]
     anchor = GaussianRational(0, -1) if half == "+" else GaussianRational(0, 1)
@@ -243,28 +244,17 @@ def corona_solve_mplus(h, half: str = "+", tol: float = DEFAULT_TOL):
     inner = corona_solve_hplus(reduced, half, tol)
     if isinstance(inner, CoronaFailure):
         return inner
-    solution = [g / s_fn for g in inner.solution]
-    total = RationalFunction(0)
-    for g, f in zip(solution, h):
-        total = total + g * f
-    if not total == RationalFunction(1):
-        raise AssertionError("Bezout identity failed to verify")
+    cert = _certified([g / s_fn for g in inner.solution], h, "M" + half)
     split = wh_factor_scalar(s, tol)
-    return CoronaCertificate(
-        solution,
-        "M" + half,
+    return replace(
+        cert,
         gr_factor=s_fn,
         hct_tuple=reduced,
         gr_split=(split.gamma_minus, split.k, split.gamma_plus),
     )
 
 
-def corona_solve_ap(
-    h,
-    half: str = "+",
-    tol: float = DEFAULT_TOL,
-    target_residual: Fraction = Fraction(1, 2**40),
-):
+def corona_solve_ap(h, half: str = "+", tol: float = DEFAULT_TOL):
     """Partial almost periodic corona solver (dominant-coefficient fragment).
 
     Succeeds when, after checking for a non-invertible common exponential
@@ -273,27 +263,21 @@ def corona_solve_ap(
     when it is a monomial, otherwise in declared-approximation form with an
     exact residual bound.  Anything beyond that fragment is Unresolved.
     """
-    h = [APPoly.coerce(p) for p in h]
-    if not h:
-        raise MembershipViolation("empty tuple")
-    _require_inside(h, half, tol, MembershipViolation, "tuple")
+    h = _checked_tuple(h, APPoly.coerce, half, tol)
+    if isinstance(h, CoronaFailure):
+        return h
     nonzero = [p for p in h if not p.is_zero]
-    if not nonzero:
-        return CoronaFailure(None, "zero tuple vanishes identically")
+    # membership fixes the sign: the lowest frequency of AP+ entries is >= 0,
+    # the highest of AP- entries <= 0
     if half == "+":
         common = min(p.min_freq() for p in nonzero)
-        if common > 0:
-            return CoronaFailure(
-                APPoly.e(common),
-                "common exponential factor is not invertible in the algebra",
-            )
     else:
         common = max(p.max_freq() for p in nonzero)
-        if common < 0:
-            return CoronaFailure(
-                APPoly.e(common),
-                "common exponential factor is not invertible in the algebra",
-            )
+    if common != 0:
+        return CoronaFailure(
+            APPoly.e(common),
+            "common exponential factor is not invertible in the algebra",
+        )
     for j, p in enumerate(h):
         if p.dominant_frequency() != 0:
             continue
@@ -306,7 +290,7 @@ def corona_solve_ap(
         _, rho_hi = u.wiener_bounds()
         K = 1
         power = rho_hi
-        while power > target_residual and K < 400:
+        while power > _AP_TARGET_RESIDUAL and K < 400:
             power *= rho_hi
             K += 1
         partial = APPoly.coerce(1)

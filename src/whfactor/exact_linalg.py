@@ -18,7 +18,7 @@ matrix is the identity for every size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 
 from .errors import (
@@ -210,11 +210,8 @@ def one_sided_diagnose(phi: RingMatrix, side: str, solver) -> Diagnosis:
     if side == "right":
         inner = one_sided_diagnose(phi.transpose(), "left", solver)
         if inner.inverse is not None:
-            return Diagnosis(
-                status=inner.status,
-                minors=inner.minors,
-                certificate=inner.certificate,
-                witness=inner.witness,
+            return replace(
+                inner,
                 inverse=inner.inverse.transpose(),
                 notes=inner.notes + ["transposed from a left-invertibility run"],
             )

@@ -13,6 +13,7 @@ the matrix operator, near equivalence only transfers Fredholmness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from .corona import CoronaCertificate, corona_solve_hplus, corona_solve_mplus
 from .errors import (
@@ -40,7 +41,7 @@ class FredholmReport:
     equivalence: str = "none-established"  # nearly | strictly | none-established
     justification: str | None = None
     coburn: str = "unknown"  # ker_zero | coker_zero | both | unknown
-    p_note: str = P_NOTE
+    p_note: ClassVar[str] = P_NOTE
     notes: list = field(default_factory=list)
     scalar: dict | None = None
 
@@ -232,44 +233,50 @@ def _unitary_or_orthogonal(G: RingMatrix, mode: str) -> GaussianRational:
     raise HypothesisViolation("determinant is not constant")
 
 
-def _upper_rows_analytic(G: RingMatrix, tol: float) -> bool:
-    """Every row but the last in the upper half-plane algebra."""
-    return next(_outside(G.submatrix(range(G.rows - 1), range(G.cols)), "+", tol), None) is None
-
-
-def special_unitary(
-    G: RingMatrix, det_constant=None, tol: float = DEFAULT_TOL
-) -> FredholmReport:
-    """Fredholm verdict for a symbol unitary on the line with constant
-    determinant, driven by a corona check on its last row."""
+def _last_row_corona(G: RingMatrix, mode: str, tol: float) -> bool:
+    """The hypotheses shared by the unitary and orthogonal verdicts: G is a
+    square rational matrix, unitary or orthogonal (mode) with constant
+    determinant, bounded on the line, and its last row has a corona
+    certificate over the bounded lower (unitary) or upper (orthogonal)
+    algebra; HypothesisViolation naming the witness otherwise.  Answers
+    whether the strict level holds too: every other row in the upper
+    half-plane algebra and the last row a corona tuple over the analytic
+    algebra on the same side."""
     n = _check_rat_square(G)
-    det_c = _unitary_or_orthogonal(G, "unitary")
-    if det_constant is not None and not det_c == GaussianRational.coerce(det_constant):
-        raise HypothesisViolation("determinant differs from the stated constant")
+    _unitary_or_orthogonal(G, mode)
     _require_inside(G, None, tol, HypothesisViolation, "symbol")
+    half, side = ("-", "lower") if mode == "unitary" else ("+", "upper")
     last_row = [G[n - 1, j] for j in range(n)]
-    verdict = corona_solve_mplus(last_row, "-", tol)
+    verdict = corona_solve_mplus(last_row, half, tol)
     if not isinstance(verdict, CoronaCertificate):
         raise HypothesisViolation(
-            f"last row is not a corona tuple over the bounded lower algebra: "
+            f"last row is not a corona tuple over the bounded {side} algebra: "
             f"witness {verdict.witness}"
         )
+    upper_rows = G.submatrix(range(n - 1), range(G.cols))
+    return next(_outside(upper_rows, "+", tol), None) is None and isinstance(
+        corona_solve_hplus(last_row, half, tol), CoronaCertificate
+    )
+
+
+def special_unitary(G: RingMatrix, tol: float = DEFAULT_TOL) -> FredholmReport:
+    """Fredholm verdict for a symbol unitary on the line with constant
+    determinant, driven by a corona check on its last row."""
+    strict = _last_row_corona(G, "unitary", tol)
     report = FredholmReport(
         fredholm="yes",
         equivalence="nearly",
         justification="unitary-constant-det",
         notes=["last-row corona certificate verified over the bounded lower algebra"],
     )
-    if _upper_rows_analytic(G, tol):
-        inner = corona_solve_hplus(last_row, "-", tol)
-        if isinstance(inner, CoronaCertificate):
-            report.justification = "unitary-constant-det/strict"
-            report.dim_ker = 0
-            report.dim_coker = 0
-            report.index = 0
-            report.coburn = "both"
-            report.notes.append("analytic-level hypotheses hold: operator invertible")
-            return report
+    if strict:
+        report.justification = "unitary-constant-det/strict"
+        report.dim_ker = 0
+        report.dim_coker = 0
+        report.index = 0
+        report.coburn = "both"
+        report.notes.append("analytic-level hypotheses hold: operator invertible")
+        return report
     diag = _diagonal_indices(G, tol)
     if diag is not None:
         inner = report_from_indices(diag)
@@ -285,16 +292,7 @@ def special_unitary(
 def special_orthogonal(G: RingMatrix, tol: float = DEFAULT_TOL) -> FredholmReport:
     """Fredholm verdict for a complex-orthogonal symbol (G G^T = I) with
     constant determinant, via a corona check on its last row."""
-    n = _check_rat_square(G)
-    _unitary_or_orthogonal(G, "orthogonal")
-    _require_inside(G, None, tol, HypothesisViolation, "symbol")
-    last_row = [G[n - 1, j] for j in range(n)]
-    verdict = corona_solve_mplus(last_row, "+", tol)
-    if not isinstance(verdict, CoronaCertificate):
-        raise HypothesisViolation(
-            f"last row is not a corona tuple over the bounded upper algebra: "
-            f"witness {verdict.witness}"
-        )
+    strict = _last_row_corona(G, "orthogonal", tol)
     report = FredholmReport(
         fredholm="yes",
         equivalence="nearly",
@@ -305,14 +303,12 @@ def special_orthogonal(G: RingMatrix, tol: float = DEFAULT_TOL) -> FredholmRepor
             "index 0 from the winding of the constant determinant (continuous symbol)",
         ],
     )
-    if _upper_rows_analytic(G, tol):
-        inner = corona_solve_hplus(last_row, "+", tol)
-        if isinstance(inner, CoronaCertificate):
-            report.justification = "orthogonal-constant-det/strict"
-            report.dim_ker = 0
-            report.dim_coker = 0
-            report.coburn = "both"
-            report.notes.append("analytic-level hypotheses hold: operator invertible")
+    if strict:
+        report.justification = "orthogonal-constant-det/strict"
+        report.dim_ker = 0
+        report.dim_coker = 0
+        report.coburn = "both"
+        report.notes.append("analytic-level hypotheses hold: operator invertible")
     return report
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .ap import APFactorization, MeanMotionResult, SplitUnavailable
+from .ap import APFactorization, SplitUnavailable
 from .corona import CoronaCertificate, CoronaFailure, Unresolved
 from .errors import ZeroDenominator
 from .exact_linalg import Completion, Diagnosis, MinorVector
@@ -157,12 +157,6 @@ def encode(obj):
             "offending_frequencies": [encode(f) for f in obj.offending],
             "kappa": encode(obj.kappa),
             "reason": obj.reason,
-        }
-    if isinstance(obj, MeanMotionResult):
-        return {
-            "kappa": encode(obj.kappa),
-            "method": obj.method,
-            "note": obj.note,
         }
     raise TypeError(f"no JSON encoding for {type(obj).__name__}")
 
@@ -325,5 +319,4 @@ def decode_wh_factorization(v) -> WHFactorization:
         g_minus=decode_matrix(v["g_minus"], "rational"),
         partial_indices=_indices(v["partial_indices"], "partial_indices"),
         g_plus=decode_matrix(v["g_plus"], "rational"),
-        bounded=bool(v.get("bounded", True)),
     )

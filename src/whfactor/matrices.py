@@ -171,8 +171,8 @@ class RingMatrix:
         c = self.ring.coerce(c)
         return RingMatrix(self.ring, [[a * c for a in r] for r in self.entries])
 
-    def map(self, fn, ring: Ring | None = None) -> "RingMatrix":
-        return RingMatrix(ring or self.ring, [[fn(a) for a in r] for r in self.entries])
+    def map(self, fn) -> "RingMatrix":
+        return RingMatrix(self.ring, [[fn(a) for a in r] for r in self.entries])
 
     def transpose(self) -> "RingMatrix":
         return RingMatrix(

@@ -23,7 +23,7 @@ element e_kappa in place of the weighted projections and r**k.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, ClassVar
 
 from .errors import (
     HypothesisViolation,
@@ -52,8 +52,8 @@ class WHFactorization:
     g_minus: RingMatrix
     partial_indices: tuple[int, ...]
     g_plus: RingMatrix
-    bounded: bool = True
-    p_note: str = P_NOTE
+    bounded: ClassVar[bool] = True
+    p_note: ClassVar[str] = P_NOTE
     trace: dict = field(default_factory=dict)
 
     def d_matrix(self) -> RingMatrix:

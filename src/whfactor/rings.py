@@ -168,10 +168,12 @@ class GaussianRational:
         return self._a == o[0] and self._b == o[1] and self._d == o[2]
 
     def __hash__(self):
-        # equal to hash((self.re, self.im)): an int hashes like the equal Fraction
+        # a real value hashes as the equal Fraction, any other value as
+        # hash((re, im)); an int hashes like the equal Fraction
+        a, b = self._a, self._b
         if self._d == 1:
-            return hash((self._a, self._b))
-        return hash((self.re, self.im))
+            return hash(a) if b == 0 else hash((a, b))
+        return hash(self.re) if b == 0 else hash((self.re, self.im))
 
     def __bool__(self):
         return bool(self._a or self._b)
@@ -189,10 +191,6 @@ class GaussianRational:
         if n == 0:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
         return _canon(a * d, -b * d, n)
-
-    @property
-    def is_real(self) -> bool:
-        return self._b == 0
 
     def to_complex(self) -> complex:
         # int true division is correctly rounded, as float(Fraction) is, and
@@ -250,8 +248,8 @@ ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 
 
-def abs_bounds(c: GaussianRational, scale_bits: int = 64) -> tuple[Fraction, Fraction]:
-    """Exact rational enclosure [lo, hi] of |c| with hi - lo <= 2**-scale_bits-ish.
+def abs_bounds(c: GaussianRational) -> tuple[Fraction, Fraction]:
+    """Exact rational enclosure [lo, hi] of |c| with hi - lo <= 2**-64-ish.
 
     Collapses to an exact value when c is purely real or purely imaginary.
     """
@@ -263,7 +261,7 @@ def abs_bounds(c: GaussianRational, scale_bits: int = 64) -> tuple[Fraction, Fra
         return a, a
     s = c.abs2()
     p, q = s.numerator, s.denominator
-    m = 1 << scale_bits
+    m = 1 << 64
     r = math.isqrt(p * q * m * m)
     lo = Fraction(r, q * m)
     hi = Fraction(r + 1, q * m)
@@ -395,7 +393,11 @@ class Polynomial:
         return self.coeffs == o.coeffs
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a constant hashes as its coefficient, the equal scalar
+        cs = self.coeffs
+        if len(cs) > 1:
+            return hash(cs)
+        return hash(cs[0] if cs else 0)
 
     def __bool__(self):
         return not self.is_zero
@@ -667,6 +669,9 @@ class RationalFunction:
         return self.num == o.num and self.den == o.den
 
     def __hash__(self):
+        # denominator 1 (it is monic): hashes as the equal numerator polynomial
+        if self.den.degree == 0:
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def __bool__(self):
@@ -831,20 +836,20 @@ def squarefree_decomposition(p: Polynomial) -> list[tuple[Polynomial, int]]:
     return out
 
 
-def _poly_roots(p: Polynomial, tol: float = DEFAULT_TOL):
-    """Roots of p as [(root, multiplicity)]: exact Gaussian rationals where a
-    snapped candidate verifies p(root) == 0, high-precision complex otherwise.
+def _locate_roots(p: Polynomial, tol: float = DEFAULT_TOL):
+    """Yield the roots of p as (root, multiplicity): exact Gaussian
+    rationals where a snapped candidate verifies p(root) == 0,
+    high-precision complex otherwise.
 
     Multiplicities are separated exactly first (squarefree decomposition), so
-    the numeric solver only ever locates simple roots.  Raises
-    RootClassificationAmbiguous for a residual root within tol of the real
-    line (an exactly-real root would have been snapped).
+    the numeric solver only ever locates simple roots.  No root is refused
+    here: which region a residual root must stay clear of is the caller's
+    question.
     """
     import numpy as np
 
     if p.is_zero:
         raise ZeroInput("zero polynomial has no root list")
-    result: list = []
     for part, mult in squarefree_decomposition(p):
         work = part
         if work.degree > 0:
@@ -859,17 +864,28 @@ def _poly_roots(p: Polynomial, tol: float = DEFAULT_TOL):
                     if not work(cand):
                         seen.add(cand)
                         work = work // Polynomial([-cand, ONE])
-                        result.append((cand, mult))
+                        yield cand, mult
                         break
         if work.degree > 0:
             residual = np.roots([c.to_complex() for c in reversed(work.coeffs)])
             for z in residual:
-                z = complex(z)
-                if abs(z.imag) < tol:
-                    raise RootClassificationAmbiguous(
-                        f"root near the real line cannot be pinned exactly: {z}"
-                    )
-                result.append((z, mult))
+                yield complex(z), mult
+
+
+def _poly_roots(p: Polynomial, tol: float = DEFAULT_TOL):
+    """The roots of p as [(root, multiplicity)], located by _locate_roots.
+
+    Raises RootClassificationAmbiguous for a residual root within tol of the
+    real line (an exactly-real root would have been snapped), so every root
+    returned has a definite half-plane.
+    """
+    result: list = []
+    for root, mult in _locate_roots(p, tol):
+        if isinstance(root, complex) and abs(root.imag) < tol:
+            raise RootClassificationAmbiguous(
+                f"root near the real line cannot be pinned exactly: {root}"
+            )
+        result.append((root, mult))
     return result
 
 
@@ -953,11 +969,6 @@ class FactoredRational:
         )
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        return FactoredRational(self.lead**n, [(r, m * n) for r, m in self.factors])
 
     def __eq__(self, other):
         if not isinstance(other, FactoredRational):
@@ -1116,7 +1127,13 @@ class _ExpSum:
         return self.terms == o.terms
 
     def __hash__(self):
-        return hash(self.terms)
+        # no term, or a lone frequency-0 term: hashes as the equal coefficient
+        terms = self.terms
+        if not terms:
+            return hash(0)
+        if len(terms) == 1 and terms[0][0] == 0:
+            return hash(terms[0][1])
+        return hash(terms)
 
     def __bool__(self):
         return not self.is_zero
@@ -1149,7 +1166,7 @@ class APPoly(_ExpSum):
     @staticmethod
     def e(freq, coeff=1) -> "APPoly":
         """The exponential basis element coeff * e_freq."""
-        return APPoly([(Fraction(freq), GaussianRational.coerce(coeff))])
+        return APPoly([(_as_fraction(freq), GaussianRational.coerce(coeff))])
 
     @property
     def support(self) -> tuple[Fraction, ...]:
@@ -1160,7 +1177,7 @@ class APPoly(_ExpSum):
         return len(self.terms) == 1
 
     def coeff(self, freq) -> GaussianRational:
-        freq = Fraction(freq)
+        freq = _as_fraction(freq)
         for f, c in self.terms:
             if f == freq:
                 return c
@@ -1202,11 +1219,6 @@ class APPoly(_ExpSum):
     def conj(self) -> "APPoly":
         """Pointwise conjugate on the real line: conjugate coefficients, negate frequencies."""
         return APPoly([(-f, c.conjugate()) for f, c in self.terms])
-
-    def shift(self, mu) -> "APPoly":
-        """Multiply by e_mu."""
-        mu = Fraction(mu)
-        return APPoly([(f + mu, c) for f, c in self.terms])
 
     def eval(self, t: float) -> complex:
         return sum(c.to_complex() * cmath.exp(1j * float(f) * t) for f, c in self.terms)

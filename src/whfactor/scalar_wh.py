@@ -21,6 +21,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import ClassVar
 
 from .errors import (
     FactorizationInexact,
@@ -54,7 +55,7 @@ class ScalarWH:
     gamma_minus: FactoredRational
     k: int
     gamma_plus: FactoredRational
-    p_note: str = P_NOTE
+    p_note: ClassVar[str] = P_NOTE
 
     def reconstruct(self) -> RationalFunction:
         return (

@@ -384,3 +384,16 @@ def test_auto_inverse_refusal_is_a_verdict(tmp_path, capsys):
     assert doc["status"] == "failure"
     assert doc["result"]["verdict"] == "one-sided-inverse-unavailable"
     assert doc["result"]["diagnosis"]["status"] == "not_invertible"
+
+
+def test_corona_common_zero_on_the_imaginary_axis(tmp_path, capsys):
+    p = [-1, {"im": -3}, 1]
+    x_p = [0, -1, {"im": -3}, 1]
+    den2 = [-1, {"im": 2}, 1]  # (x + i)**2
+    den3 = [{"im": -1}, -3, {"im": 3}, 1]  # (x + i)**3
+    job = {"algebra": "H+", "tuple": [{"num": p, "den": den2}, {"num": x_p, "den": den3}]}
+    code, doc, err = run_in_process("corona", job, tmp_path, capsys)
+    assert code == 1, err
+    assert doc["result"]["verdict"] == "corona-failed"
+    re, im = doc["result"]["detail"]["witness"]["approx"]
+    assert abs(re) < 1e-9 and abs(im - (3 + 5**0.5) / 2) < 1e-9

@@ -104,6 +104,21 @@ def test_hminus_mirror():
     assert fail.witness == GaussianRational(1)
 
 
+def test_hplus_common_zero_on_the_imaginary_axis():
+    # p vanishes at i(3 +- sqrt 5)/2, points no snap candidate verifies; on
+    # the disk side they sit on the real axis, well inside the circle
+    p = Polynomial([-1, -3 * I, 1])
+    den = lin(-I)
+    h = [RationalFunction(p, den**2), RationalFunction(X * p, den**3)]
+    out = corona_solve_hplus(h, "+")
+    assert isinstance(out, CoronaFailure)
+    assert isinstance(out.witness, complex)
+    assert abs(out.witness - 1j * (3 + 5**0.5) / 2) < 1e-9
+    assert abs(p.eval_complex(out.witness)) < 1e-9
+    mirrored = corona_solve_hplus([f.reflect() for f in h], "-")
+    assert isinstance(mirrored, CoronaFailure)
+    assert abs(mirrored.witness + 1j * (3 + 5**0.5) / 2) < 1e-9
+
 def test_hplus_random_certificates():
     rng = random.Random(83)
     produced = 0

@@ -127,7 +127,7 @@ def _assert_matches(z, re, im):
     assert isinstance(z.re, Fraction) and isinstance(z.im, Fraction)
     assert (z.re, z.im) == (re, im)
     assert z._d > 0 and math.gcd(z._a, z._b, z._d) == 1
-    assert hash(z) == hash((re, im))
+    assert hash(z) == (hash(re) if im == 0 else hash((re, im)))
     assert repr(z) == _reference_repr(re, im)
     assert z == GaussianRational(re, im) and not z != GaussianRational(re, im)
     assert bool(z) == (re != 0 or im != 0)
@@ -405,3 +405,38 @@ def test_unsnapped_roots_decide_membership_and_stay_inexact():
     factored = RationalFunction(Q_UPPER, P_LOWER).factored()
     assert not factored.exact
     assert all(isinstance(root, complex) for root, _ in factored.factors)
+
+
+@given(_EXACT, _EXACT, _EXACT, st.fractions(max_denominator=8))
+def test_equal_values_hash_alike_across_types(c, d, e, freq):
+    """A value equal to one of a simpler type hashes as that value, so sets
+    and dicts that mix the types keep one copy."""
+    z = GaussianRational(c, d)
+    line = Polynomial([c, z])
+    pairs = [
+        (GaussianRational(c), c),
+        (Polynomial([z]), z),
+        (Polynomial([c]), c),
+        (RationalFunction(z), z),
+        (RationalFunction(line), line),
+        (APPoly.coerce(z), z),
+        (APPoly(), 0),
+        (MixedFunction.coerce(RationalFunction(line)), RationalFunction(line)),
+        (MixedFunction.coerce(APPoly.e(freq, z)), APPoly.e(freq, z)),
+        (MixedFunction.coerce(APPoly.e(freq, z) + APPoly.e(1, e)), APPoly.e(freq, z) + APPoly.e(1, e)),
+    ]
+    for a, b in pairs:
+        assert a == b and b == a
+        assert hash(a) == hash(b), (a, b)
+        assert len({a, b}) == 1
+
+
+def test_appoly_refuses_float_frequencies_everywhere():
+    for build in (
+        lambda: APPoly([(0.1, 1)]),
+        lambda: APPoly.e(0.1),
+        lambda: APPoly.e(1).coeff(0.1),
+    ):
+        with pytest.raises(TypeError):
+            build()
+    assert APPoly.e(Fraction(1, 10)).coeff(Fraction(1, 10)) == 1
