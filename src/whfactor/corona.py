@@ -159,8 +159,11 @@ def corona_solve_hplus(h, half: str = "+", tol: float = DEFAULT_TOL):
         reflected = corona_solve_hplus([f.reflect() for f in h], "+", tol)
         if isinstance(reflected, CoronaFailure):
             w = reflected.witness
-            if isinstance(w, (GaussianRational, complex)):
+            if isinstance(w, GaussianRational):
                 w = -w
+            elif isinstance(w, complex):
+                # + 0.0 keeps a zero part +0.0 instead of printing -0.0
+                w = complex(-w.real + 0.0, -w.imag + 0.0)
             return CoronaFailure(w, reflected.reason)
         return CoronaCertificate(
             [g.reflect() for g in reflected.solution], "H-"

@@ -448,7 +448,13 @@ class Polynomial:
         return p
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
+        """Monic gcd (zero when both are zero): Brown's modular algorithm
+        when both degrees exceed _EUCLID_MAX_DEGREE, Euclid otherwise."""
         a, b = self, Polynomial.coerce(other)
+        if min(a.degree, b.degree) > _EUCLID_MAX_DEGREE:
+            g = _modular_gcd(a, b)
+            if g is not None:
+                return g
         while not b.is_zero:
             a, b = b, a % b
         return a.monic() if not a.is_zero else a
@@ -491,6 +497,123 @@ def _poly(cs: list) -> Polynomial:
     p = _new(Polynomial)
     object.__setattr__(p, "coeffs", tuple(cs))
     return p
+
+
+# Euclid over Q(i) is faster than the modular gcd up to this degree; past it
+# its remainders swell (thousands of bits from entries like (-4..4)/(1..2)).
+_EUCLID_MAX_DEGREE = 3
+
+# Primes p = 1 (mod 4) just below 2**62, each with s, s*s = -1 (mod p): Z[i]
+# maps onto F_p in two ways, i -> s and i -> -s, and the two images of a
+# Gaussian integer x + y*i give back x and y.
+_GCD_PRIMES = (
+    (4611686018427387817, 120863620846201794),
+    (4611686018427387761, 1130501565556633554),
+    (4611686018427387737, 445087375101645770),
+    (4611686018427387733, 678134394580861710),
+    (4611686018427387709, 332795564299355040),
+    (4611686018427387701, 1516271632427511319),
+    (4611686018427387617, 1741778642412996051),
+    (4611686018427387461, 28265398815898435),
+    (4611686018427387421, 514749418491258170),
+    (4611686018427387409, 991982837001326714),
+    (4611686018427387329, 2031432188910929020),
+    (4611686018427387301, 1241939876926444310),
+    (4611686018427387241, 808263873925576861),
+    (4611686018427387113, 690495592644948772),
+    (4611686018427387073, 180802848473195561),
+    (4611686018427386981, 2084562456366214808),
+)
+
+
+def _gcd_mod(f: list, g: list, p: int) -> list:
+    """Monic gcd in F_p[x] of two nonzero ascending coefficient lists."""
+    f, g = list(f), list(g)
+    while g:
+        inv = pow(g[-1], -1, p)
+        m = len(g) - 1
+        while len(f) > m:
+            c = f.pop() * inv % p
+            if c:
+                k = len(f) - m
+                for j in range(m):
+                    f[k + j] = (f[k + j] - c * g[j]) % p
+        while f and not f[-1]:
+            f.pop()
+        f, g = g, f
+    inv = pow(f[-1], -1, p)
+    return [c * inv % p for c in f]
+
+
+def _rational_reconstruction(r: int, m: int):
+    """The Fraction n/d with n = r*d (mod m) and |n|, d <= sqrt(m/2), or None
+    when there is none (Wang's half-extended Euclid)."""
+    bound = math.isqrt(m // 2)
+    r0, r1, t0, t1 = m, r, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if abs(t1) > bound or math.gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def _modular_gcd(a: Polynomial, b: Polynomial):
+    """Monic gcd of two nonconstant polynomials by Brown's modular algorithm,
+    or None when _GCD_PRIMES runs out first.
+
+    The gcd's image under each embedding of Z[i] into F_p divides the image
+    gcd, with equality except at finitely many unlucky primes, so images of
+    least degree are combined: real and imaginary parts by CRT over the
+    primes, then rational reconstruction.  A candidate is returned only when
+    it divides both inputs exactly; it is then the gcd, since its degree is
+    at least the gcd's.
+    """
+    # clear denominators: Z[i] coefficients as (re, im) int pairs
+    sides = []
+    for f in (a, b):
+        den = math.lcm(*(c._d for c in f.coeffs))
+        sides.append([(c._a * (den // c._d), c._b * (den // c._d)) for c in f.coeffs])
+    leads = [f[-1] for f in sides]
+    best = None
+    for p, s in _GCD_PRIMES:
+        if any((x + t * y) % p == 0 for x, y in leads for t in (s, -s)):
+            continue
+        images = []
+        for t in (s, -s):
+            u = _gcd_mod(*([(x + t * y) % p for x, y in f] for f in sides), p)
+            if len(u) == 1:
+                return Polynomial([ONE])
+            images.append(u)
+        u, v = images
+        if best is None or min(len(u), len(v)) < best:
+            best, xs = min(len(u), len(v)), None
+        if len(u) != len(v) or len(u) > best:
+            continue
+        # x = (u + v)/2 and y = (u - v)/(2s) are the parts' images mod p
+        h = (p + 1) // 2
+        hs = (p - s) * h % p  # 1/(2s) = -s/2, as s*s = -1
+        xp = [(c + e) * h % p for c, e in zip(u, v)]
+        yp = [(c - e) * hs % p for c, e in zip(u, v)]
+        if xs is None:
+            xs, ys, m = xp, yp, p
+        else:
+            w = pow(m, -1, p)
+            xs = [x + m * ((r - x) * w % p) for x, r in zip(xs, xp)]
+            ys = [y + m * ((r - y) * w % p) for y, r in zip(ys, yp)]
+            m *= p
+        coeffs = []
+        for x, y in zip(xs, ys):
+            re, im = _rational_reconstruction(x, m), _rational_reconstruction(y, m)
+            if re is None or im is None:
+                break
+            coeffs.append(GaussianRational(re, im))
+        else:
+            g = _poly(coeffs)
+            if not a % g and not b % g:
+                return g
+    return None
 
 
 def egcd_many(polys):

@@ -2,6 +2,7 @@
 verify round trip on emitted factorizations."""
 
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -397,3 +398,16 @@ def test_corona_common_zero_on_the_imaginary_axis(tmp_path, capsys):
     assert doc["result"]["verdict"] == "corona-failed"
     re, im = doc["result"]["detail"]["witness"]["approx"]
     assert abs(re) < 1e-9 and abs(im - (3 + 5**0.5) / 2) < 1e-9
+    # the tuple reflected through x -> -x, over H-: the witness is negated,
+    # and its zero real part prints as 0.0, not -0.0
+    mirrored = [
+        {"num": [-1, {"im": 3}, 1], "den": [-1, {"im": -2}, 1]},
+        {"num": [0, 1, {"im": -3}, -1], "den": [{"im": -1}, 3, {"im": 3}, -1]},
+    ]
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"algebra": "H-", "tuple": mirrored}))
+    assert cli.main(["corona", "--input", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "-0.0" not in out
+    re, im = json.loads(out)["result"]["detail"]["witness"]["approx"]
+    assert math.copysign(1.0, re) == 1.0 and abs(im + (3 + 5**0.5) / 2) < 1e-9

@@ -2,6 +2,7 @@
 evaluation, the bounded-vs-analytic distinction, and the almost periodic
 fragment with its declared-approximation certificates."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -118,6 +119,8 @@ def test_hplus_common_zero_on_the_imaginary_axis():
     mirrored = corona_solve_hplus([f.reflect() for f in h], "-")
     assert isinstance(mirrored, CoronaFailure)
     assert abs(mirrored.witness + 1j * (3 + 5**0.5) / 2) < 1e-9
+    # the negated witness keeps a +0.0 real part
+    assert math.copysign(1.0, mirrored.witness.real) == 1.0
 
 def test_hplus_random_certificates():
     rng = random.Random(83)

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import util
+from whfactor import rings
 from whfactor.errors import FloatRangeExceeded, RootClassificationAmbiguous, ZeroDenominator
 from whfactor.rings import (
     APPoly,
@@ -206,6 +207,114 @@ def test_polynomial_divmod_and_gcd():
         assert r.is_zero or r.degree < b.degree
         g, s, t = a.egcd(b)
         assert s * a + t * b == g
+
+
+def _euclid_gcd(a, b):
+    """The Euclid loop over Q(i): the reference for Polynomial.gcd."""
+    while not b.is_zero:
+        a, b = b, a % b
+    return a.monic() if not a.is_zero else a
+
+
+_SMALL = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+_COEFF = st.builds(GaussianRational, _SMALL, _SMALL)
+# Gaussian integers put a Gaussian content on an input; 0 makes it zero
+_SCALE = st.one_of(_COEFF, st.builds(GaussianRational, st.integers(-6, 6), st.integers(-6, 6)))
+
+
+def _poly_upto(degree):
+    return st.lists(_COEFF, max_size=degree + 1).map(Polynomial)
+
+
+@settings(deadline=None)
+@given(_poly_upto(4), _poly_upto(4), _poly_upto(4), _SCALE, _SCALE)
+@example(Polynomial(), Polynomial(), Polynomial(), I, I)  # both zero
+@example(X + 1, Polynomial(), X**3 + I, I, I)  # one zero
+@example(Polynomial([2 + I]), Polynomial([3]), X**5 + 1, I, I)  # a constant
+# non-monic degree-4 inputs with Gaussian content, one a multiple of the other
+@example((X**2 + I) * (X**2 - 2), Polynomial([1]), X + 1, 2 + 2 * I, 3 * I)
+# degrees 3 and 4 straddle the threshold, 4 and 4 lie past it
+@example(X - I, X**2 + 1, X**3 - 2, Fraction(1, 2), 1)
+@example(X - I, X**3 + 1, X**3 - 2, Fraction(1, 2), 1)
+def test_gcd_matches_euclid_on_planted_factors(common, u, v, cu, cv):
+    """Polynomial.gcd equals the Euclid result on Q(i) polynomials of degree
+    0..8 sharing a planted common factor, on both sides of the degree at
+    which it switches to the modular algorithm."""
+    a, b = (common * u).scale(cu), (common * v).scale(cv)
+    assert a.gcd(b) == _euclid_gcd(a, b)
+    assert b.gcd(a) == _euclid_gcd(a, b)
+
+
+# small primes p = 1 (mod 4) with s*s = -1 (mod p), so that one test input
+# can meet every branch of the modular gcd
+_SMALL_PRIMES = ((5, 2), (13, 5), (17, 4), (29, 12))
+
+
+def test_modular_gcd_branches_on_small_primes(monkeypatch):
+    monkeypatch.setattr(rings, "_GCD_PRIMES", _SMALL_PRIMES)
+    images = []
+    gcd_mod = rings._gcd_mod
+
+    def recording(f, g, p):
+        out = gcd_mod(f, g, p)
+        images.append((p, len(out) - 1))
+        return out
+
+    monkeypatch.setattr(rings, "_gcd_mod", recording)
+
+    # coprime: the first image gcd is 1, and so is the answer
+    assert rings._modular_gcd(X**4 + 2, X**4 + X + 3) == Polynomial([1])
+    assert images == [(5, 0)]
+
+    # lead 5 vanishes mod 5, so that prime is skipped; mod 13 the cofactors
+    # share x - 3 = x - 16, an image of degree 3 that the next prime's degree
+    # 2 replaces; 7 and 1/3 need 17 and 29 combined
+    c = X**2 + Polynomial([Fraction(1, 3), 7 + 2 * I])
+    a, b = (c * (X - 3) * (X - 1)).scale(5), c * (X - 16) * (X + 2)
+    images.clear()
+    assert rings._modular_gcd(a, b) == c == _euclid_gcd(a, b)
+    assert images == [(13, 3), (13, 3), (17, 2), (17, 2), (29, 2), (29, 2)]
+
+    # 1000 cannot be reconstructed modulo 5 * 13 * 17 * 29: the table runs
+    # out, and gcd falls back to Euclid
+    c = X**2 + 1000 * X + 1
+    a, b = c * (X + 1) * (X + 2), c * (X + 3) * (X + 4)
+    images.clear()
+    assert rings._modular_gcd(a, b) is None
+    assert [p for p, _ in images] == [5, 5, 13, 13, 17, 17, 29, 29]
+    assert a.gcd(b) == c
+
+
+def _is_prime(n):
+    """Miller-Rabin with the first twelve prime bases, exact for n < 2**64."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % q == 0 for q in bases):
+        return n in bases
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for q in bases:
+        x = pow(q, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_gcd_prime_table():
+    # 3215031751 is a strong pseudoprime to the bases 2, 3, 5 and 7
+    assert _is_prime(2**61 - 1) and not _is_prime(3215031751)
+    primes = [p for p, _ in rings._GCD_PRIMES]
+    assert len(set(primes)) == len(primes)
+    for p, s in rings._GCD_PRIMES:
+        assert p < 2**64 and _is_prime(p)
+        assert p % 4 == 1
+        assert s * s % p == p - 1
 
 
 def test_normalize_reduces_and_makes_monic():
