@@ -236,9 +236,11 @@ def _unitary_or_orthogonal(G: RingMatrix, mode: str) -> GaussianRational:
 def _last_row_corona(G: RingMatrix, mode: str, tol: float) -> bool:
     """The hypotheses shared by the unitary and orthogonal verdicts: G is a
     square rational matrix, unitary or orthogonal (mode) with constant
-    determinant, bounded on the line, and its last row has a corona
-    certificate over the bounded lower (unitary) or upper (orthogonal)
-    algebra; HypothesisViolation naming the witness otherwise.  Answers
+    determinant and bounded on the line; HypothesisViolation naming the
+    witness otherwise.  The last row then has a corona certificate over the
+    bounded lower (unitary) or upper (orthogonal) algebra, since
+    sum |g_j|^2 == 1 (sum g_j^2 == 1) leaves it no common zero on the
+    extended line; a failed check there is an AssertionError.  Answers
     whether the strict level holds too: every other row in the upper
     half-plane algebra and the last row a corona tuple over the analytic
     algebra on the same side."""
@@ -249,9 +251,10 @@ def _last_row_corona(G: RingMatrix, mode: str, tol: float) -> bool:
     last_row = [G[n - 1, j] for j in range(n)]
     verdict = corona_solve_mplus(last_row, half, tol)
     if not isinstance(verdict, CoronaCertificate):
-        raise HypothesisViolation(
-            f"last row is not a corona tuple over the bounded {side} algebra: "
-            f"witness {verdict.witness}"
+        identity = "sum |g_j|^2" if mode == "unitary" else "sum g_j^2"
+        raise AssertionError(
+            f"last row of a {mode} symbol failed the corona check over the bounded "
+            f"{side} algebra, though {identity} == 1 on the extended line"
         )
     upper_rows = G.submatrix(range(n - 1), range(G.cols))
     return next(_outside(upper_rows, "+", tol), None) is None and isinstance(

@@ -4,6 +4,10 @@ Determinants use subset dynamic programming (Laplace expansion with shared
 minors), which is exact in any commutative ring and adequate at the small
 sizes this library targets (n up to ~8).  The same subset table serves
 adjugates: one table per deleted column yields a whole row of cofactors.
+Over the rational ring, minors and products first clear each row (the
+right factor of a product: each column) to one polynomial denominator, run
+over Q(i)[x], and canonicalize each returned entry once, instead of once
+per sum and product term.
 One entry scan answers every membership question the factorization routes,
 the corona solvers and the Fredholm reports ask of a matrix or a tuple.
 """
@@ -155,6 +159,14 @@ class RingMatrix:
             raise ShapeMismatch(
                 f"product shape mismatch: {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
+        if self.ring is RAT and other.ring is RAT:
+            rows = [_cleared(r) for r in self.entries]
+            cols = [_cleared(c) for c in zip(*other.entries)]
+            return RingMatrix(self.ring, [
+                [RationalFunction(sum((x * y for x, y in zip(p, q)), Polynomial()), a * b)
+                 for b, q in cols]
+                for a, p in rows
+            ])
         zero = self.ring.zero
         out = []
         for i in range(self.rows):
@@ -265,19 +277,38 @@ class RingMatrix:
 
 
 def minors_by_subset(m: RingMatrix, size: int):
-    """Determinants of (rows S, first |S| columns) submatrices for all row
-    subsets S with |S| <= size, sharing subproblems across subsets."""
+    """Determinants of the (rows S, first size columns) submatrices for all
+    row subsets S with |S| = size, keyed by S, sharing subproblems across
+    subsets.  Over the rational ring the table runs over the rows cleared
+    to one denominator d_i each, and each minor is built once, as
+    det P_S / prod of d_i over S."""
     if size > m.cols:
         raise ShapeMismatch("subset size exceeds column count")
-    table: dict[tuple, object] = {(): m.ring.one}
+    if m.ring is not RAT:
+        return _subset_minors(m.entries, size, m.ring)
+    dens, rows = zip(*(_cleared(r[:size]) for r in m.entries))
+    table = _subset_minors(rows, size, POLY)
+    out = {}
+    for subset, minor in table.items():
+        den = POLY.one
+        for i in subset:
+            if dens[i].degree > 0:
+                den = den * dens[i]
+        out[subset] = RationalFunction(minor, den)
+    return out
+
+
+def _subset_minors(entries, size: int, ring: Ring):
+    """The subset table of minors_by_subset over entries, rows of ring elements."""
+    table: dict[tuple, object] = {(): ring.one}
     for k in range(1, size + 1):
         nxt = {}
         col = k - 1
-        for subset in combinations(range(m.rows), k):
-            acc = m.ring.zero
+        for subset in combinations(range(len(entries)), k):
+            acc = ring.zero
             # expand along the last column; positions run top to bottom
             for pos, i in enumerate(subset):
-                entry = m.entries[i][col]
+                entry = entries[i][col]
                 minor = table[subset[:pos] + subset[pos + 1 :]]
                 term = entry * minor
                 if (pos + k - 1) % 2 == 1:
@@ -286,6 +317,22 @@ def minors_by_subset(m: RingMatrix, size: int):
             nxt[subset] = acc
         table = nxt
     return table
+
+
+def _cleared(fractions):
+    """(d, numerators): the monic lcm d of the rational functions'
+    denominators, through Polynomial.gcd, and each f as num * (d / den),
+    so that f == numerator / d; builds no RationalFunction."""
+    d = POLY.one
+    for f in fractions:
+        den = f.den
+        if den.degree > 0 and den != d:
+            d = den if d.degree == 0 else d * (den // d.gcd(den))
+    return d, [
+        f.num if not f.num or f.den == d
+        else f.num * (d if f.den.degree == 0 else d // f.den)
+        for f in fractions
+    ]
 
 
 def _outside(entries, half, tol):

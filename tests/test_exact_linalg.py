@@ -2,8 +2,11 @@
 blocks, Bezout-certificate inverses, completions, and the diagnose loop."""
 
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import util
 from whfactor.corona import make_ap_solver, make_rational_solver
@@ -19,7 +22,7 @@ from whfactor.exact_linalg import (
     omitted_row_minors,
     one_sided_diagnose,
 )
-from whfactor.matrices import AP, MIXED, POLY, QI, RAT, RingMatrix
+from whfactor.matrices import AP, MIXED, POLY, QI, RAT, RingMatrix, minors_by_subset
 from whfactor.rings import APPoly, GaussianRational, MixedFunction, Polynomial, RationalFunction
 
 
@@ -42,6 +45,97 @@ def test_det_matches_laplace_oracle():
         n = rng.randint(1, 5)
         m = RingMatrix(QI, [[util.rand_gr(rng) for _ in range(n)] for _ in range(n)])
         assert m.det() == laplace_det(m)
+
+
+X = Polynomial.x()
+I = GaussianRational(0, 1)
+# denominator 1, coprime poles, and (x+1)(x+i) and (x+1)^2 beside x+1
+_POLES = [Polynomial([1]), X + 1, X + I, X - 2 * I, (X + 1) * (X + I), (X + 1) ** 2]
+_NUMERATOR = st.lists(
+    st.builds(GaussianRational, st.integers(-3, 3), st.integers(-3, 3)), max_size=3
+).map(Polynomial)
+# zero entries and non-monic numerators come from _NUMERATOR; a repeated
+# pole gives a row or column entries over a shared denominator
+_RAT_ENTRY = st.builds(RationalFunction, _NUMERATOR, st.sampled_from(_POLES))
+
+
+def _rat_matrices(rows, cols):
+    return st.lists(
+        st.lists(_RAT_ENTRY, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    ).map(lambda entries: RingMatrix(RAT, entries))
+
+
+@st.composite
+def _rat_matrix_and_size(draw):
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return draw(_rat_matrices(rows, cols)), draw(st.integers(0, cols))
+
+
+_SHARED_POLES = RingMatrix(
+    RAT,
+    [
+        [RationalFunction(3 * X, X + 1), RationalFunction(1, (X + 1) * (X + I))],
+        [RationalFunction(0), RationalFunction(2 * I * X + 1, (X + 1) ** 2)],
+    ],
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rat_matrix_and_size())
+@example((_SHARED_POLES, 2))
+def test_rational_minors_match_laplace(m_size):
+    """Every minor of the rational table (rows cleared to one denominator,
+    one canonicalization per minor) equals the per-term Laplace oracle."""
+    m, size = m_size
+    table = minors_by_subset(m, size)
+    assert list(table) == list(combinations(range(m.rows), size))
+    for subset, minor in table.items():
+        want = laplace_det(m.submatrix(subset, range(size))) if size else RAT.one
+        assert minor == want, (subset, size)
+
+
+@st.composite
+def _rat_product_pair(draw):
+    rows, inner, cols = (draw(st.integers(1, 4)) for _ in range(3))
+    return draw(_rat_matrices(rows, inner)), draw(_rat_matrices(inner, cols))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rat_product_pair())
+@example((_SHARED_POLES, _SHARED_POLES.transpose()))
+def test_rational_product_matches_per_term_sums(pair):
+    """Rectangular rational products (rows of the left factor and columns
+    of the right one cleared to one denominator) equal the entrywise sums
+    canonicalized term by term."""
+    a, b = pair
+    product = a * b
+    assert (product.rows, product.cols) == (a.rows, b.cols)
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = RationalFunction(0)
+            for k in range(a.cols):
+                acc = acc + a[i, k] * b[k, j]
+            assert product[i, j] == acc, (i, j)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_rat_matrix_and_size())
+@example((_SHARED_POLES, 2))
+def test_rational_minors_canonicalize_once_per_subset(m_size):
+    """One rational minors_by_subset call builds exactly one
+    RationalFunction per returned subset."""
+    m, size = m_size
+    built = []
+    init = RationalFunction.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RationalFunction, "__init__", counting)
+        table = minors_by_subset(m, size)
+    assert len(built) == len(table)
 
 
 def _rand_rational(rng):

@@ -167,27 +167,22 @@ def test_special_orthogonal_rotation_example():
     assert winding_numeric(lambda z: complex(1.0), grid=64) == 0
 
 
-def test_special_orthogonal_planted_common_zero():
-    # rotation scaled so the last row vanishes at a real point would break
-    # orthogonality; instead use a diagonal orthogonal matrix whose last row
-    # has a planted common real zero -> impossible while G G^T = I, so plant
-    # the failure through a non-corona last row in a reducible block form
+def test_special_orthogonal_refuses_a_non_orthogonal_symbol():
+    # the last row of an orthogonal symbol has sum g_j^2 == 1 on the line, so
+    # it never shares a real zero; what a bad symbol hits is NotOrthogonal:
+    # with c, s as in a rotation, [[c, s], [s, c]] has G G^T != I
     c = rf(X * X - 1, X * X + 1)
     s = rf(Polynomial([0, 2]), X * X + 1)
-    G = util.rat_matrix([[c, s], [rf(0) - s, c]])
-    # c and -s share the zero x = ... none on the line: corona holds; check
-    # the guard instead with a tampered non-orthogonal matrix
     with pytest.raises(NotOrthogonal):
         special_orthogonal(util.rat_matrix([[c, s], [s, c]]))
 
 
-def test_special_unitary_failure_witness():
-    # unitary diag with last row sharing a real zero cannot exist (unimodular
-    # entries), so exercise the corona failure path via a zero row entry and
-    # a unimodular entry vanishing nowhere: use block diag(r, r^-1) but ask
-    # about a tampered matrix with det non-constant
+def test_special_unitary_refuses_a_non_constant_det():
+    # the last row of a unitary symbol has sum |g_j|^2 == 1 on the line, so
+    # it never shares a real zero; what a bad symbol hits is the constant-det
+    # HypothesisViolation: diag(r, r) is unitary with det r^2
     r = r_function()
-    with pytest.raises(HypothesisViolation):
+    with pytest.raises(HypothesisViolation, match="determinant is not constant"):
         special_unitary(util.rat_matrix([[r, 0], [0, r]]))
 
 
